@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "core/hierarchy_cache.hpp"
 #include "engine/engine.hpp"
 #include "mesh/dual.hpp"
 #include "partition/partition.hpp"
@@ -75,7 +74,6 @@ Replay replay(engine::Kind kind, const Opts& opts, part::PartId parts,
   Replay r;
   Run run(opts);
   util::Rng rng(seed);
-  core::HierarchyCache cache;
   const auto& eng = engine::repartitioner(kind);
   // M^0 never changes: centroids once per replay, like a session would.
   const std::vector<double> coords = mesh::coarse_centroids(run.mesh());
@@ -97,7 +95,6 @@ Replay replay(engine::Kind kind, const Opts& opts, part::PartId parts,
     in.previous = have_prev ? &prev : nullptr;
     in.parts = parts;
     in.rng = &rng;
-    in.cache = &cache;
     core::RepartitionStats stats;
     util::Timer timer;
     part::Partition pi = eng.run(in, &stats);

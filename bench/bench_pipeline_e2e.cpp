@@ -8,7 +8,7 @@
 // Sessions run with deferred metrics (the service default): each step's
 // cost is the partitioning work alone, and the final quality numbers are
 // settled once at the end via Session::metrics(). v2 splits the cold
-// first step (builds G and the contraction hierarchy) from the mean
+// first step (builds G) from the mean
 // steady-state step (rounds 2+, where the persistent state is reused).
 //
 //   --quick            reduced sizes for CI (~1 s total)

@@ -23,12 +23,21 @@ cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
 
+# Paper tables and figures. The benches that write BENCH_*.json (engines,
+# exec, federation, pipeline_e2e, refine, svc) are not run here: their
+# committed files at the repo root are CI baselines, regenerated on purpose.
 mkdir -p results
-for b in build/bench/bench_*; do
-  name=$(basename "$b")
+for name in bench_ablation_alpha_beta bench_ablation_nested bench_adjacency \
+            bench_fig1_fig6_meshes bench_fig3_quality bench_fig4_rsb_migration \
+            bench_fig5_pnr_migration bench_fig7_transient_quality \
+            bench_fig8_transient_migration bench_protocol_scaling \
+            bench_sec8_lower_bound; do
   echo "== $name"
-  "$b" --outdir=results | tee "results/$name.txt"
+  "build/bench/$name" --outdir=results | tee "results/$name.txt"
 done
+# A google-benchmark binary: it rejects --outdir.
+echo "== bench_partitioner_micro"
+build/bench/bench_partitioner_micro 2>&1 | tee results/bench_partitioner_micro.txt
 
 if [ "$PAPER" = 1 ]; then
   echo "== paper-scale runs (this takes tens of minutes)"

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "check/check.hpp"
-#include "core/hierarchy_cache.hpp"
 #include "partition/mlkl.hpp"
 #include "partition/rebalance.hpp"
 #include "partition/refine.hpp"
@@ -51,8 +50,8 @@ part::Partition Pnr::initial_partition(const graph::Graph& g,
 
 part::Partition Pnr::repartition(const graph::Graph& g,
                                  const part::Partition& current,
-                                 util::Rng& rng, RepartitionStats* stats,
-                                 HierarchyCache* cache) const {
+                                 util::Rng& rng,
+                                 RepartitionStats* stats) const {
   PNR_PROF_SPAN("pnr.repartition");
   PNR_REQUIRE(current.valid_for(g));
   PNR_REQUIRE(current.num_parts == p_);
@@ -72,20 +71,8 @@ part::Partition Pnr::repartition(const graph::Graph& g,
   copt.max_vertex_weight =
       std::max<graph::Weight>(1, g.total_vertex_weight() / (4 * p_));
 
-  // The cache only engages on the partition-restricted path: the ablation
-  // re-partitions the coarsest graph, so its matchings need not (and do
-  // not) preserve the assignment, and caching them would be wrong to reuse.
-  const bool use_cache = cache != nullptr && options_.reuse_hierarchy &&
-                         !options_.repartition_coarsest;
-  if (cache && !use_cache) cache->clear();
-  if (use_cache && !cache->levels.empty() &&
-      cache->levels.front().level.fine_to_coarse.size() !=
-          static_cast<std::size_t>(g.num_vertices()))
-    cache->clear();  // cache built for a different graph
-
-  std::vector<graph::CoarseLevel> owned;  ///< from-scratch path storage
+  std::vector<graph::CoarseLevel> levels;
   std::vector<std::vector<part::PartId>> homes{current.assign};
-  std::size_t num_levels = 0;
   {
     PNR_PROF_SPAN("pnr.contract");
     // Never contract below a few vertices per subset, or the coarsest
@@ -93,106 +80,28 @@ part::Partition Pnr::repartition(const graph::Graph& g,
     const graph::VertexId floor_size =
         std::max<graph::VertexId>(options_.coarsest_size, 4 * p_);
     const graph::Graph* cur = &g;
-    std::int64_t hits = 0;
-    std::int64_t rematches = 0;
-    std::int64_t drift_evictions = 0;
-    if (use_cache) {
-      while (num_levels < cache->levels.size() &&
-             cur->num_vertices() > floor_size) {
-        CachedLevel& cl = cache->levels[num_levels];
-        const auto& f2c = cl.level.fine_to_coarse;
-        const auto nc = static_cast<std::size_t>(cl.level.graph.num_vertices());
-        // Churn policy: resolve each matched group's home subset as its
-        // heaviest member's (first wins ties, deterministically); when too
-        // many fine vertices disagree with their group the cached matching
-        // no longer respects the incoming partition, so this level — and
-        // everything deeper, whose topology hangs off it — is re-matched.
-        const std::vector<part::PartId>& home = homes.back();
-        std::vector<part::PartId> coarse_home(nc, -1);
-        std::vector<graph::Weight> rep_w(nc, -1);
-        for (std::size_t v = 0; v < f2c.size(); ++v) {
-          const auto c = static_cast<std::size_t>(f2c[v]);
-          const graph::Weight w =
-              cur->vertex_weight(static_cast<graph::VertexId>(v));
-          if (w > rep_w[c]) {
-            rep_w[c] = w;
-            coarse_home[c] = home[v];
-          }
-        }
-        std::int64_t mixed = 0;
-        for (std::size_t v = 0; v < f2c.size(); ++v)
-          if (home[v] != coarse_home[static_cast<std::size_t>(f2c[v])])
-            ++mixed;
-        if (static_cast<double>(mixed) >
-            options_.hierarchy_churn_tol * static_cast<double>(f2c.size())) {
-          rematches +=
-              static_cast<std::int64_t>(cache->levels.size() - num_levels);
-          cache->levels.resize(num_levels);
-          break;
-        }
-        repropagate_weights(*cur, cl);
-        // Drift policy: matched groups that outgrew the contraction weight
-        // cap would leave the coarsest graph unbalanceable.
-        std::int64_t over = 0;
-        for (graph::VertexId c = 0; c < cl.level.graph.num_vertices(); ++c)
-          if (cl.level.graph.vertex_weight(c) > copt.max_vertex_weight) ++over;
-        if (static_cast<double>(over) >
-            options_.hierarchy_drift_tol * static_cast<double>(nc)) {
-          drift_evictions +=
-              static_cast<std::int64_t>(cache->levels.size() - num_levels);
-          cache->levels.resize(num_levels);
-          break;
-        }
-        homes.push_back(std::move(coarse_home));
-        cur = &cl.level.graph;
-        ++num_levels;
-        ++hits;
-      }
-    }
     while (cur->num_vertices() > floor_size) {
       if (!options_.repartition_coarsest) copt.partition = &homes.back();
       graph::CoarseLevel level = graph::coarsen_once(*cur, rng, copt);
       const auto before = cur->num_vertices();
       const auto after = level.graph.num_vertices();
       if (after >= before - before / 10) break;  // contraction stalled
-      std::vector<part::PartId> home(
-          static_cast<std::size_t>(after), 0);
+      std::vector<part::PartId> home(static_cast<std::size_t>(after), 0);
       for (std::size_t v = 0; v < level.fine_to_coarse.size(); ++v)
         home[static_cast<std::size_t>(level.fine_to_coarse[v])] =
             homes.back()[v];
       homes.push_back(std::move(home));
-      if (use_cache) {
-        cache->levels.push_back(make_cached_level(*cur, std::move(level)));
-        cur = &cache->levels.back().level.graph;
-      } else {
-        owned.push_back(std::move(level));
-        cur = &owned.back().graph;
-      }
-      ++num_levels;
-    }
-    if (use_cache) {
-      // Levels below an early floor/stall exit would carry stale weights
-      // into the next round; drop them.
-      if (cache->levels.size() > num_levels) cache->levels.resize(num_levels);
-      prof::count("pnr.cache.hits", hits);
-      prof::count("pnr.cache.rematches", rematches);
-      prof::count("pnr.cache.drift_evictions", drift_evictions);
+      levels.push_back(std::move(level));
+      cur = &levels.back().graph;
     }
   }
-  std::vector<const graph::CoarseLevel*> levels;
-  levels.reserve(num_levels);
-  if (use_cache)
-    for (std::size_t k = 0; k < num_levels; ++k)
-      levels.push_back(&cache->levels[k].level);
-  else
-    for (const graph::CoarseLevel& l : owned) levels.push_back(&l);
   if (stats) stats->levels = static_cast<int>(levels.size());
   prof::count("pnr.levels", static_cast<std::int64_t>(levels.size()));
 
   // Start from the projected current assignment (modification (a)) or, in
   // the ablation, partition the coarsest graph from scratch.
   std::vector<part::PartId> assign;
-  const graph::Graph& coarsest = levels.empty() ? g : levels.back()->graph;
+  const graph::Graph& coarsest = levels.empty() ? g : levels.back().graph;
   if (options_.repartition_coarsest) {
     part::MlklOptions mo;
     assign = part::multilevel_kl(coarsest, p_, rng, mo).assign;
@@ -227,7 +136,7 @@ part::Partition Pnr::repartition(const graph::Graph& g,
   // the O(E) build; the projection to the next level invalidates them.
   part::SharedConnState chain;
   for (std::size_t k = levels.size() + 1; k-- > 0;) {
-    const graph::Graph& level_graph = k == 0 ? g : levels[k - 1]->graph;
+    const graph::Graph& level_graph = k == 0 ? g : levels[k - 1].graph;
     chain.invalidate();
     if (options_.hard_balance) {
       part::RebalanceOptions bopt;
@@ -256,7 +165,7 @@ part::Partition Pnr::repartition(const graph::Graph& g,
     assign = std::move(pi.assign);
     if (k > 0)
       assign =
-          graph::project_partition(levels[k - 1]->fine_to_coarse, assign);
+          graph::project_partition(levels[k - 1].fine_to_coarse, assign);
   }
 
   part::Partition result(p_, std::move(assign));

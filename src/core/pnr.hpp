@@ -45,23 +45,6 @@ struct PnrOptions {
   /// Algorithm for the very first partition of G.
   part::Method initial_method = part::Method::kMultilevelKL;
   double initial_imbalance_tol = 0.03;
-  /// Reuse the contraction hierarchy across repartition calls when the
-  /// caller passes a HierarchyCache: cached levels re-propagate weights
-  /// through their fixed matchings instead of re-matching. Escape hatch:
-  /// off (or no cache) restores the from-scratch path bit-for-bit.
-  bool reuse_hierarchy = true;
-  /// Evict a cached level (and everything deeper) when more than this
-  /// fraction of its fine vertices sit in matched groups whose members the
-  /// incoming assignment now splits across subsets — the partition-boundary
-  /// churn under which modification (a) degrades. The default is tight on
-  /// purpose: the heaviest-member home approximation on split groups
-  /// compounds per level, and above ~1% churn it costs several percent of
-  /// cut/migration quality per reused level.
-  double hierarchy_churn_tol = 0.01;
-  /// Evict when more than this fraction of a cached level's coarse vertices
-  /// outgrew the current contraction weight cap (weight drift would leave
-  /// the coarsest graph unbalanceable).
-  double hierarchy_drift_tol = 0.10;
 };
 
 /// The measures the paper's tables report for one repartitioning step.
@@ -73,8 +56,6 @@ struct RepartitionStats {
   double imbalance_after = 0.0;      ///< the paper's ε
   int levels = 0;                    ///< contraction levels used
 };
-
-struct HierarchyCache;  // core/hierarchy_cache.hpp
 
 class Pnr {
  public:
@@ -88,14 +69,10 @@ class Pnr {
   part::Partition initial_partition(const graph::Graph& g, util::Rng& rng) const;
 
   /// Repartition after adaptation: `current` is Π^{t-1} carried to the
-  /// updated weights of `g`; the result is Π̂^t minimizing Eq. 1. When
-  /// `cache` is non-null (and reuse_hierarchy is on) the contraction
-  /// hierarchy persists in it across calls; pass the same cache for the
-  /// same graph only — topology mismatches are evicted, not detected.
+  /// updated weights of `g`; the result is Π̂^t minimizing Eq. 1.
   part::Partition repartition(const graph::Graph& g,
                               const part::Partition& current, util::Rng& rng,
-                              RepartitionStats* stats = nullptr,
-                              HierarchyCache* cache = nullptr) const;
+                              RepartitionStats* stats = nullptr) const;
 
  private:
   part::PartId p_;

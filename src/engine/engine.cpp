@@ -32,7 +32,7 @@ class MlklRepartitioner final : public Repartitioner {
       }
       return pi;
     }
-    return pnr.repartition(*in.graph, *in.previous, *in.rng, stats, in.cache);
+    return pnr.repartition(*in.graph, *in.previous, *in.rng, stats);
   }
 };
 

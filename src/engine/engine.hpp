@@ -57,7 +57,6 @@ struct Input {
   const part::Partition* previous = nullptr;
   part::PartId parts = 0;
   core::PnrOptions options;          ///< α/β and the MLKL knobs
-  core::HierarchyCache* cache = nullptr;  ///< MLKL only; may be nullptr
   util::Rng* rng = nullptr;          ///< MLKL only; may be nullptr
 };
 

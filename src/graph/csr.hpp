@@ -70,12 +70,6 @@ class Graph {
   /// Returns false (and changes nothing) if the edge does not exist.
   bool set_edge_weight(VertexId u, VertexId v, Weight w);
 
-  /// Mutable weight arrays for in-place re-propagation (the hierarchy cache
-  /// rewrites every level's weights each round). Topology stays immutable;
-  /// callers must keep the two directions of each arc equal.
-  std::span<Weight> mutable_vertex_weights() { return vwgt_; }
-  std::span<Weight> mutable_arc_weights() { return adjwgt_; }
-
   const std::vector<std::int64_t>& xadj() const { return xadj_; }
   const std::vector<VertexId>& adjncy() const { return adjncy_; }
   const std::vector<Weight>& adjwgt() const { return adjwgt_; }

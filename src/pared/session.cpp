@@ -183,36 +183,24 @@ StepReport Session<Mesh>::step(Mesh& mesh) {
     }
     case Strategy::kPNR: {
       refresh_coarse_graph(mesh);
-      if (engine_ == engine::Kind::kMlkl) {
-        // The paper's path, untouched: drive core::Pnr directly so the
-        // persistent hierarchy cache and rng sequence stay bit-identical
-        // to pre-engine builds.
-        if (first_) {
-          coarse_assign_ = pnr_.initial_partition(coarse_graph_, rng_).assign;
-        } else {
-          part::Partition current(p_, coarse_assign_);
-          coarse_assign_ = pnr_.repartition(coarse_graph_, current, rng_,
-                                            nullptr, &hier_cache_)
-                               .assign;
-        }
-      } else {
+      const engine::Repartitioner& planner = engine::repartitioner(engine_);
+      engine::Input in;
+      if (planner.needs_coords()) {
         if (!coarse_coords_valid_) {
           coarse_coords_ = mesh::coarse_centroids(mesh);
           coarse_coords_valid_ = true;
         }
         const auto n = static_cast<std::size_t>(coarse_graph_.num_vertices());
-        engine::Input in;
-        in.graph = &coarse_graph_;
         in.coords = coarse_coords_;
         in.dim = n > 0 ? static_cast<int>(coarse_coords_.size() / n) : 0;
-        part::Partition current(p_, coarse_assign_);
-        in.previous = first_ ? nullptr : &current;
-        in.parts = p_;
-        in.options = pnr_.options();
-        in.rng = &rng_;
-        coarse_assign_ =
-            engine::repartitioner(engine_).run(in, nullptr).assign;
       }
+      in.graph = &coarse_graph_;
+      part::Partition current(p_, coarse_assign_);
+      in.previous = first_ ? nullptr : &current;
+      in.parts = p_;
+      in.options = pnr_options_;
+      in.rng = &rng_;
+      coarse_assign_ = planner.run(in, nullptr).assign;
       adopted = mesh::project_coarse_assignment(mesh, elems, coarse_assign_);
       fine_new = adopted;
       if (carried) {

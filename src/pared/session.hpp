@@ -18,7 +18,6 @@
 #include <optional>
 #include <string>
 
-#include "core/hierarchy_cache.hpp"
 #include "core/pnr.hpp"
 #include "engine/engine.hpp"
 #include "mesh/dual.hpp"
@@ -28,6 +27,7 @@
 #include "partition/mlkl.hpp"
 #include "partition/remap.hpp"
 #include "partition/rsb.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace pnr::pared {
@@ -65,8 +65,10 @@ class Session {
       : strategy_(strategy),
         p_(p),
         rng_(seed),
-        pnr_(p, pnr_options),
-        engine_(engine) {}
+        pnr_options_(pnr_options),
+        engine_(engine) {
+    PNR_REQUIRE(p >= 1);
+  }
 
   Strategy strategy() const { return strategy_; }
   part::PartId num_parts() const { return p_; }
@@ -120,14 +122,14 @@ class Session {
   Strategy strategy_;
   part::PartId p_;
   util::Rng rng_;
-  core::Pnr pnr_;
+  core::PnrOptions pnr_options_;
   engine::Kind engine_ = engine::Kind::kMlkl;
   bool first_ = true;
   bool defer_metrics_ = false;
   /// PNR keeps its assignment on the (persistent) coarse vertices.
   std::vector<part::PartId> coarse_assign_;
   /// Persistent repartition state (PNR only): G built once, weight-patched
-  /// per round; the contraction hierarchy cached across rounds.
+  /// per round.
   graph::Graph coarse_graph_;
   bool coarse_graph_valid_ = false;
   std::uint64_t dual_epoch_ = 0;
@@ -135,7 +137,6 @@ class Session {
   /// changes, so they are computed once on first use.
   std::vector<double> coarse_coords_;
   bool coarse_coords_valid_ = false;
-  core::HierarchyCache hier_cache_;
   /// Deferred-metrics state for metrics().
   StepReport last_report_;
   std::vector<part::PartId> last_carried_;

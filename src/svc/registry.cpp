@@ -6,7 +6,6 @@
 #include <variant>
 
 #include "check/check.hpp"
-#include "core/hierarchy_cache.hpp"
 #include "fed/shard.hpp"
 #include "engine/engine.hpp"
 #include "graph/algorithms.hpp"
@@ -62,14 +61,11 @@ struct Fed3DState {
 /// graph of some external mesh).
 struct GraphState {
   graph::Graph g;
-  core::Pnr pnr;
+  core::PnrOptions options;
   part::Partition partition;
   util::Rng rng;
   core::RepartitionStats last_stats;
   bool has_stats = false;
-  /// Contraction hierarchy carried across repartition calls (the uploaded
-  /// graph's topology is fixed, so the cache stays warm for the session).
-  core::HierarchyCache cache;
   /// Session-default backend; per-request override via the repartition op.
   engine::Kind engine = engine::Kind::kMlkl;
   /// Optional vertex coordinates uploaded with the graph (n×dim, row
@@ -234,7 +230,7 @@ struct Registry::SessionState {
   std::vector<std::pair<std::uint16_t, Bytes>> oplog;
   bool checkpoint_ok = true;
 
-  explicit SessionState(Body b) : body(std::move(b)) {}
+  explicit SessionState(Body&& b) : body(std::move(b)) {}
 };
 
 /// One shard: a mutex-guarded slice of the session map. The mutex guards
@@ -651,7 +647,6 @@ Reply Registry::op_create_graph(const Bytes& payload) {
   if (geometric_engine(eng) && *cdim == 0)
     return make_error(Err::kBadPayload,
                       "geometric engine requires a coordinate block");
-  core::Pnr pnr(head->parts, popt);
   util::Rng rng(head->session_seed);
   engine::Input in;
   in.graph = &*g;
@@ -665,11 +660,9 @@ Reply Registry::op_create_graph(const Bytes& payload) {
       engine::repartitioner(eng).run(in, /*stats=*/nullptr);
   const std::int64_t n = g->num_vertices();
 
-  GraphState graph_state{std::move(*g),  std::move(pnr),
-                         std::move(partition), std::move(rng),
-                         core::RepartitionStats{}, false,
-                         core::HierarchyCache{}, eng,
-                         std::move(*coords), *cdim};
+  GraphState graph_state{std::move(*g), popt, std::move(partition),
+                         std::move(rng), core::RepartitionStats{}, false,
+                         eng, std::move(*coords), *cdim};
   auto st = std::make_unique<SessionState>(Body(std::move(graph_state)));
   st->strategy = head->strategy;
   st->engine = eng;
@@ -864,27 +857,20 @@ Reply Registry::op_repartition(const Bytes& payload) {
   const engine::Kind eng = *eng_byte == kEngineDefault
                                ? s->engine
                                : static_cast<engine::Kind>(*eng_byte);
+  if (geometric_engine(eng) && s->dim == 0)
+    return make_error(Err::kBadState,
+                      "session was created without coordinates; "
+                      "geometric engines unavailable");
+  engine::Input in;
+  in.graph = &s->g;
+  in.coords = s->coords;
+  in.dim = s->dim;
+  in.previous = &s->partition;
+  in.parts = st->parts;
+  in.options = s->options;
+  in.rng = &s->rng;
   core::RepartitionStats stats;
-  if (eng == engine::Kind::kMlkl) {
-    // Drive core::Pnr directly so the session's hierarchy cache stays warm
-    // and the reply bytes match pre-engine servers.
-    s->partition =
-        s->pnr.repartition(s->g, s->partition, s->rng, &stats, &s->cache);
-  } else {
-    if (geometric_engine(eng) && s->dim == 0)
-      return make_error(Err::kBadState,
-                        "session was created without coordinates; "
-                        "geometric engines unavailable");
-    engine::Input in;
-    in.graph = &s->g;
-    in.coords = s->coords;
-    in.dim = s->dim;
-    in.previous = &s->partition;
-    in.parts = st->parts;
-    in.options = s->pnr.options();
-    in.rng = &s->rng;
-    s->partition = engine::repartitioner(eng).run(in, &stats);
-  }
+  s->partition = engine::repartitioner(eng).run(in, &stats);
   s->last_stats = stats;
   s->has_stats = true;
   log_op(*st, kOpRepartition, payload);

@@ -397,6 +397,37 @@ TEST(EngineSession, GeometricEnginesDriveAPnrSessionEndToEnd) {
   }
 }
 
+// A kPNR session on the mlkl engine is a loop around the one planner call:
+// feeding the same coarse graphs through engine::repartitioner by hand, with
+// the session's seed, gives the session's coarse assignment at every step.
+TEST(EngineSession, MlklSessionMatchesAHandLoopOverTheEngine) {
+  pared::TransientOptions opts;
+  opts.steps = 12;
+  opts.grid_n = 20;
+  pared::TransientRun run(opts);
+  pared::Session2D session(pared::Strategy::kPNR, 4, 3, {}, Kind::kMlkl);
+
+  const auto& mlkl = repartitioner(Kind::kMlkl);
+  util::Rng rng(3);
+  part::Partition hand;
+  int steps = 0;
+  while (true) {
+    const graph::Graph g = mesh::nested_dual_graph(run.mesh());
+    session.step(run.mutable_mesh());
+    Input in;
+    in.graph = &g;
+    in.previous = steps == 0 ? nullptr : &hand;
+    in.parts = 4;
+    in.rng = &rng;
+    hand = mlkl.run(in, nullptr);
+    ASSERT_EQ(session.coarse_assignment(), hand.assign) << "step " << steps;
+    ++steps;
+    if (run.done()) break;
+    run.advance();
+  }
+  EXPECT_GE(steps, 5);
+}
+
 TEST(EngineSession, SameEngineSessionsAreDeterministic) {
   pared::TransientOptions opts;
   opts.steps = 5;

@@ -89,6 +89,12 @@ struct PwayCase {
   std::uint64_t seed;
 };
 
+// The printed value is the ctest name suffix; without this googletest dumps
+// the struct's raw bytes, padding included, and the names change per run.
+void PrintTo(const PwayCase& c, std::ostream* os) {
+  *os << c.nx << "x" << c.ny << "_p" << c.p << "_seed" << c.seed;
+}
+
 class PwayPartitioners : public ::testing::TestWithParam<PwayCase> {};
 
 TEST_P(PwayPartitioners, MlklBalancedAndValid) {

@@ -20,6 +20,12 @@ struct SweepCase {
   std::uint64_t seed;
 };
 
+// The printed value is the ctest name suffix; without this googletest dumps
+// the struct's raw bytes, padding included, and the names change per run.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << "p" << c.p << "_seed" << c.seed;
+}
+
 void randomly_adapt(mesh::TriMesh& mesh, util::Rng& rng, int rounds) {
   for (int round = 0; round < rounds; ++round) {
     std::vector<mesh::ElemIdx> marked;
