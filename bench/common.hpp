@@ -75,7 +75,7 @@ inline std::int64_t small_refinement(mesh::TriMesh& mesh,
   };
   std::vector<Scored> scored;
   for (const mesh::ElemIdx e : mesh.leaf_elements())
-    if (mesh.tri(e).level < max_level)
+    if (mesh.element(e).level < max_level)
       scored.push_back({fem::element_indicator(mesh, e, field), e});
   std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
     if (a.eta != b.eta) return a.eta > b.eta;

@@ -23,6 +23,10 @@ conventions the compiler cannot enforce:
                    ::send, <sys/socket.h>, ...) outside src/svc/: all wire
                    I/O flows through svc::Server / svc::Client so framing,
                    limits and error handling stay in one audited place
+  mesh-dispatch    no is_same_v<..., TriMesh|TetMesh> outside
+                   src/mesh/{tri,tet}_mesh.*: code written once for both
+                   meshes branches on Mesh::kDim, the shared vocabulary of
+                   mesh/simplex.hpp
 
 Exit status is the number of violating files (0 = clean). Pass file paths to
 lint a subset; default lints the whole tree.
@@ -66,6 +70,12 @@ RAW_SOCKET = re.compile(
     r'|(?<![A-Za-z0-9_])::(?:socket|socketpair|bind|listen|accept|connect|'
     r'poll|recv|recvmsg|send|sendmsg|fcntl)\s*\()')
 RAW_SOCKET_ALLOWED = ("src/svc/",)
+# A type test against a concrete mesh class (std::is_same / is_same_v /
+# std::same_as naming TriMesh or TetMesh).
+MESH_DISPATCH = re.compile(
+    r'(?<![A-Za-z0-9_])(?:is_same(?:_v)?|same_as)\s*<[^;]*'
+    r'(?<![A-Za-z0-9_])(?:TriMesh|TetMesh)\b')
+MESH_DISPATCH_ALLOWED = ("src/mesh/tri_mesh.", "src/mesh/tet_mesh.")
 
 
 def strip_comments_and_strings(line: str, in_block: bool) -> tuple[str, bool]:
@@ -166,6 +176,13 @@ def lint_file(path: pathlib.Path) -> list[str]:
                 f"{rel}:{lineno}: raw-socket: socket/poll/fd syscalls are "
                 "reserved for src/svc/; go through svc::Server and "
                 "svc::Client (or the loopback helpers) instead")
+
+        if (MESH_DISPATCH.search(code)
+                and not str(rel).startswith(MESH_DISPATCH_ALLOWED)):
+            problems.append(
+                f"{rel}:{lineno}: mesh-dispatch: do not test for TriMesh/"
+                "TetMesh by type; branch on Mesh::kDim so the code stays "
+                "written once for both meshes")
 
         # Prof names live inside string literals, so match the raw line.
         for m in PROF_USE.finditer(raw):

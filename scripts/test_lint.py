@@ -50,6 +50,14 @@ CASES = [
      '#include <thread>\nvoid f() { std::thread t; }\n', "raw-thread"),
     ("raw socket syscall outside src/svc fires", "p.cpp",
      'int f() { return ::socket(1, 2, 3); }\n', "raw-socket"),
+    ("is_same_v against a concrete mesh fires", "r.cpp",
+     'template <typename M> int f() {\n'
+     '  if constexpr (std::is_same_v<M, mesh::TetMesh>) return 3;\n'
+     '  return 2;\n}\n', "mesh-dispatch"),
+    ("branching on Mesh::kDim is clean", "s.cpp",
+     'template <typename M> int f() {\n'
+     '  if constexpr (M::kDim == 3) return 3;\n'
+     '  return 2;\n}\n', None),
     ("commented-out violation is clean", "q.cpp",
      '// assert(x); std::rand(); #include <exec/pool.hpp>\nint f();\n',
      None),

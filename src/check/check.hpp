@@ -25,8 +25,7 @@
 #include "check/level.hpp"
 #include "check/report.hpp"
 #include "graph/csr.hpp"
-#include "mesh/tet_mesh.hpp"
-#include "mesh/tri_mesh.hpp"
+#include "mesh/simplex.hpp"
 #include "partition/conn.hpp"
 #include "partition/pairqueue.hpp"
 #include "partition/partition.hpp"
@@ -54,17 +53,15 @@ CheckReport check_graph(const graph::Graph& g,
 /// Deep mesh audit: wraps the mesh's own check_invariants (conformity,
 /// orientation, forest parent/child links, incidence maps, interface
 /// counts) into a report.
-CheckReport check_mesh(const mesh::TriMesh& mesh);
-CheckReport check_mesh(const mesh::TetMesh& mesh);
+template <typename Mesh>
+CheckReport check_mesh(const Mesh& mesh);
 
 /// Cross-structure audit of the refinement forest against the nested dual
 /// graph G built from it: one vertex per initial element, vertex weight =
 /// leaf count of its refinement tree, edge weight = adjacent leaf pairs
 /// across the interface, total weight = |leaves|.
-CheckReport check_forest(const mesh::TriMesh& mesh,
-                         const graph::Graph& nested_dual);
-CheckReport check_forest(const mesh::TetMesh& mesh,
-                         const graph::Graph& nested_dual);
+template <typename Mesh>
+CheckReport check_forest(const Mesh& mesh, const graph::Graph& nested_dual);
 
 /// Assignment audit: size matches the graph, every subset id in range,
 /// every subset non-empty (the processor count is fixed).

@@ -10,8 +10,13 @@ namespace pnr::check {
 namespace {
 
 std::string edge_str(const FedEdge& e) {
-  return "{" + std::to_string(e.a) + "," + std::to_string(e.b) +
-         "} w=" + std::to_string(e.w);
+  std::string s = "{";
+  s += std::to_string(e.a);
+  s += ",";
+  s += std::to_string(e.b);
+  s += "} w=";
+  s += std::to_string(e.w);
+  return s;
 }
 
 std::uint64_t edge_key(const FedEdge& e) {

@@ -5,14 +5,17 @@
 
 namespace pnr::check {
 
-namespace {
-
-/// Shared forest-vs-nested-dual audit. The mesh type only contributes its
-/// leaf counters and interface iteration, which TriMesh and TetMesh expose
-/// identically.
 template <typename Mesh>
-CheckReport check_forest_impl(const Mesh& mesh,
-                              const graph::Graph& nested_dual) {
+CheckReport check_mesh(const Mesh& mesh) {
+  prof::count("check.mesh");
+  CheckReport report(Mesh::kDim == 2 ? "tri_mesh" : "tet_mesh");
+  const std::string violation = mesh.check_invariants();
+  if (!violation.empty()) report.fail("mesh.invariant", violation);
+  return report;
+}
+
+template <typename Mesh>
+CheckReport check_forest(const Mesh& mesh, const graph::Graph& nested_dual) {
   prof::count("check.forest");
   CheckReport report("forest");
 
@@ -69,32 +72,9 @@ CheckReport check_forest_impl(const Mesh& mesh,
   return report;
 }
 
-}  // namespace
-
-CheckReport check_mesh(const mesh::TriMesh& mesh) {
-  prof::count("check.mesh");
-  CheckReport report("tri_mesh");
-  const std::string violation = mesh.check_invariants();
-  if (!violation.empty()) report.fail("mesh.invariant", violation);
-  return report;
-}
-
-CheckReport check_mesh(const mesh::TetMesh& mesh) {
-  prof::count("check.mesh");
-  CheckReport report("tet_mesh");
-  const std::string violation = mesh.check_invariants();
-  if (!violation.empty()) report.fail("mesh.invariant", violation);
-  return report;
-}
-
-CheckReport check_forest(const mesh::TriMesh& mesh,
-                         const graph::Graph& nested_dual) {
-  return check_forest_impl(mesh, nested_dual);
-}
-
-CheckReport check_forest(const mesh::TetMesh& mesh,
-                         const graph::Graph& nested_dual) {
-  return check_forest_impl(mesh, nested_dual);
-}
+template CheckReport check_mesh(const mesh::TriMesh&);
+template CheckReport check_mesh(const mesh::TetMesh&);
+template CheckReport check_forest(const mesh::TriMesh&, const graph::Graph&);
+template CheckReport check_forest(const mesh::TetMesh&, const graph::Graph&);
 
 }  // namespace pnr::check

@@ -4,12 +4,11 @@
 
 namespace pnr::core {
 
-namespace {
-
-template <typename Mesh, typename CoarseOf>
-SnapResult snap_impl(const Mesh& mesh, const std::vector<mesh::ElemIdx>& elems,
-                     const std::vector<part::PartId>& fine_assign,
-                     part::PartId num_parts, CoarseOf&& coarse_of) {
+template <typename Mesh>
+SnapResult snap_to_coarse(const Mesh& mesh,
+                          const std::vector<mesh::ElemIdx>& elems,
+                          const std::vector<part::PartId>& fine_assign,
+                          part::PartId num_parts) {
   PNR_REQUIRE(fine_assign.size() == elems.size());
   const auto n0 = static_cast<std::size_t>(mesh.num_initial_elements());
   const auto p = static_cast<std::size_t>(num_parts);
@@ -17,7 +16,7 @@ SnapResult snap_impl(const Mesh& mesh, const std::vector<mesh::ElemIdx>& elems,
   // votes[c*p + q] = leaves of coarse element c currently on processor q.
   std::vector<std::int64_t> votes(n0 * p, 0);
   for (std::size_t i = 0; i < elems.size(); ++i) {
-    const auto c = static_cast<std::size_t>(coarse_of(elems[i]));
+    const auto c = static_cast<std::size_t>(mesh.element(elems[i]).coarse);
     ++votes[c * p + static_cast<std::size_t>(fine_assign[i])];
   }
 
@@ -35,26 +34,18 @@ SnapResult snap_impl(const Mesh& mesh, const std::vector<mesh::ElemIdx>& elems,
   out.fine_assign.resize(elems.size());
   for (std::size_t i = 0; i < elems.size(); ++i)
     out.fine_assign[i] =
-        out.coarse_assign[static_cast<std::size_t>(coarse_of(elems[i]))];
+        out.coarse_assign[static_cast<std::size_t>(
+            mesh.element(elems[i]).coarse)];
   return out;
 }
 
-}  // namespace
-
-SnapResult snap_to_coarse(const mesh::TriMesh& mesh,
-                          const std::vector<mesh::ElemIdx>& elems,
-                          const std::vector<part::PartId>& fine_assign,
-                          part::PartId num_parts) {
-  return snap_impl(mesh, elems, fine_assign, num_parts,
-                   [&](mesh::ElemIdx e) { return mesh.tri(e).coarse; });
-}
-
-SnapResult snap_to_coarse(const mesh::TetMesh& mesh,
-                          const std::vector<mesh::ElemIdx>& elems,
-                          const std::vector<part::PartId>& fine_assign,
-                          part::PartId num_parts) {
-  return snap_impl(mesh, elems, fine_assign, num_parts,
-                   [&](mesh::ElemIdx e) { return mesh.tet(e).coarse; });
-}
+template SnapResult snap_to_coarse(const mesh::TriMesh&,
+                                   const std::vector<mesh::ElemIdx>&,
+                                   const std::vector<part::PartId>&,
+                                   part::PartId);
+template SnapResult snap_to_coarse(const mesh::TetMesh&,
+                                   const std::vector<mesh::ElemIdx>&,
+                                   const std::vector<part::PartId>&,
+                                   part::PartId);
 
 }  // namespace pnr::core

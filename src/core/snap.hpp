@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "mesh/dual.hpp"
-#include "mesh/tet_mesh.hpp"
-#include "mesh/tri_mesh.hpp"
 #include "partition/partition.hpp"
 
 namespace pnr::core {
@@ -26,11 +24,8 @@ struct SnapResult {
 
 /// `elems`/`fine_assign` describe a partition of the leaves (dense order as
 /// produced by mesh::fine_dual_graph / leaf_elements).
-SnapResult snap_to_coarse(const mesh::TriMesh& mesh,
-                          const std::vector<mesh::ElemIdx>& elems,
-                          const std::vector<part::PartId>& fine_assign,
-                          part::PartId num_parts);
-SnapResult snap_to_coarse(const mesh::TetMesh& mesh,
+template <typename Mesh>
+SnapResult snap_to_coarse(const Mesh& mesh,
                           const std::vector<mesh::ElemIdx>& elems,
                           const std::vector<part::PartId>& fine_assign,
                           part::PartId num_parts);

@@ -1,5 +1,6 @@
 #include "fed/migrate.hpp"
 
+#include <cstring>
 #include <string>
 
 #include "parallel/serialize.hpp"
@@ -13,47 +14,21 @@ void fail(std::string* why, std::string reason) {
   if (why) *why = std::move(reason);
 }
 
-/// Replica-side DFS of the subtree under `root`, identical to the packing
-/// order (child[0] pushed first, so child[1] is visited first).
-template <typename Mesh>
-std::vector<mesh::ElemIdx> subtree_nodes(const Mesh& mesh,
-                                         mesh::ElemIdx root) {
-  using Traits = detail::MeshTraits<Mesh>;
-  std::vector<mesh::ElemIdx> stack{root};
-  std::vector<mesh::ElemIdx> nodes;
-  while (!stack.empty()) {
-    const mesh::ElemIdx e = stack.back();
-    stack.pop_back();
-    nodes.push_back(e);
-    const auto& t = Traits::elem(mesh, e);
-    if (!t.leaf) {
-      stack.push_back(t.child[0]);
-      stack.push_back(t.child[1]);
-    }
-  }
-  return nodes;
-}
-
 }  // namespace
 
 template <typename Mesh>
 Bytes pack_subtree(const Mesh& mesh, mesh::ElemIdx root) {
-  using Traits = detail::MeshTraits<Mesh>;
   par::Writer w;
-  const auto nodes = subtree_nodes(mesh, root);
+  const auto nodes = mesh::subtree_elements(mesh, root);
   w.put(static_cast<std::uint64_t>(nodes.size()));
   for (const mesh::ElemIdx e : nodes) {
-    const auto& t = Traits::elem(mesh, e);
+    const auto& t = mesh.element(e);
     w.put(e);
-    for (int k = 0; k < Traits::kVertsPerElem; ++k)
-      w.put(t.v[static_cast<std::size_t>(k)]);
+    for (const mesh::VertIdx v : t.v) w.put(v);
     w.put(t.level);
     w.put(static_cast<std::uint8_t>(t.leaf));
-    for (int k = 0; k < Traits::kVertsPerElem; ++k) {
-      double xyz[3];
-      Traits::coords(mesh, t.v[static_cast<std::size_t>(k)], xyz);
-      for (int d = 0; d < Traits::kDim; ++d) w.put(xyz[d]);
-    }
+    for (const mesh::VertIdx v : t.v)
+      for (const double c : mesh::coords(mesh.vertex(v))) w.put(c);
   }
   return w.take();
 }
@@ -63,9 +38,8 @@ std::optional<SubtreeInfo> verify_subtree(const Mesh& mesh,
                                           mesh::ElemIdx root,
                                           const std::uint8_t* data,
                                           std::size_t size, std::string* why) {
-  using Traits = detail::MeshTraits<Mesh>;
   if (root < 0 || root >= mesh.num_initial_elements() ||
-      Traits::elem(mesh, root).level != 0) {
+      mesh.element(root).level != 0) {
     fail(why, "root is not an initial element");
     return std::nullopt;
   }
@@ -78,7 +52,7 @@ std::optional<SubtreeInfo> verify_subtree(const Mesh& mesh,
   // Walk the replica's own DFS in lockstep: the payload must name the same
   // nodes in the same order with bit-identical topology and geometry, so a
   // valid payload is *exactly* pack_subtree of this replica.
-  const auto expect = subtree_nodes(mesh, root);
+  const auto expect = mesh::subtree_elements(mesh, root);
   if (*count != expect.size()) {
     fail(why, "node count " + std::to_string(*count) +
                   " does not match replica subtree of " +
@@ -92,10 +66,10 @@ std::optional<SubtreeInfo> verify_subtree(const Mesh& mesh,
       fail(why, "node id diverges from replica subtree");
       return std::nullopt;
     }
-    const auto& t = Traits::elem(mesh, want);
-    for (int k = 0; k < Traits::kVertsPerElem; ++k) {
+    const auto& t = mesh.element(want);
+    for (const mesh::VertIdx want_v : t.v) {
       const auto v = r.get<mesh::VertIdx>();
-      if (!v || *v != t.v[static_cast<std::size_t>(k)]) {
+      if (!v || *v != want_v) {
         fail(why, "vertex ids diverge from replica");
         return std::nullopt;
       }
@@ -107,24 +81,21 @@ std::optional<SubtreeInfo> verify_subtree(const Mesh& mesh,
       fail(why, "level/leaf flags diverge from replica");
       return std::nullopt;
     }
-    for (int k = 0; k < Traits::kVertsPerElem; ++k) {
-      double xyz[3];
-      Traits::coords(mesh, t.v[static_cast<std::size_t>(k)], xyz);
-      for (int d = 0; d < Traits::kDim; ++d) {
+    for (const mesh::VertIdx v : t.v)
+      for (const double x : mesh::coords(mesh.vertex(v))) {
         const auto c = r.get<double>();
         // Bitwise comparison: replicas are bit-identical, so even a NaN
         // payload must reproduce the replica's exact bit pattern.
         std::uint64_t got = 0, want_bits = 0;
         if (c) {
           std::memcpy(&got, &*c, sizeof(got));
-          std::memcpy(&want_bits, &xyz[d], sizeof(want_bits));
+          std::memcpy(&want_bits, &x, sizeof(want_bits));
         }
         if (!c || got != want_bits) {
           fail(why, "geometry diverges from replica");
           return std::nullopt;
         }
       }
-    }
     ++info.nodes;
     info.leaves += t.leaf;
   }
@@ -137,19 +108,17 @@ std::optional<SubtreeInfo> verify_subtree(const Mesh& mesh,
 
 template <typename Mesh>
 std::uint64_t mesh_fingerprint(const Mesh& mesh) {
-  using Traits = detail::MeshTraits<Mesh>;
   std::uint64_t h = util::kFnvSeed;
   h = util::fnv1a_value(mesh.num_leaves(), h);
   for (const mesh::ElemIdx e : mesh.leaf_elements()) {
-    const auto& t = Traits::elem(mesh, e);
+    const auto& t = mesh.element(e);
     h = util::fnv1a_value(e, h);
     h = util::fnv1a_value(t.coarse, h);
     h = util::fnv1a_value(t.level, h);
-    for (int k = 0; k < Traits::kVertsPerElem; ++k) {
-      h = util::fnv1a_value(t.v[static_cast<std::size_t>(k)], h);
-      double xyz[3];
-      Traits::coords(mesh, t.v[static_cast<std::size_t>(k)], xyz);
-      for (int d = 0; d < Traits::kDim; ++d) h = util::fnv1a_value(xyz[d], h);
+    for (const mesh::VertIdx v : t.v) {
+      h = util::fnv1a_value(v, h);
+      for (const double c : mesh::coords(mesh.vertex(v)))
+        h = util::fnv1a_value(c, h);
     }
   }
   return h;

@@ -12,7 +12,12 @@
 //
 //   u64 node_count, then per node (DFS, child[1] before child[0] popped):
 //   i32 elem, kVertsPerElem × i32 vert, i16 level, u8 leaf,
-//   kVertsPerElem × kDim × f64 coords.
+//   kVertsPerElem × kDim × f64 coords,
+//
+// so a subtree of n nodes packs into 8 + n·(4 + 4V + 2 + 1 + 8VD) bytes
+// (V = Mesh::kVertsPerElem, D = Mesh::kDim). Every function here is written
+// once against the shared mesh vocabulary of mesh/simplex.hpp and
+// instantiated for TriMesh and TetMesh.
 //
 // Unlike the simulator's aborting validator, verify_subtree answers a trust
 // boundary: payloads arrive over sockets, so every mismatch is a returned
@@ -24,63 +29,12 @@
 #include <string>
 #include <vector>
 
-#include "mesh/tet_mesh.hpp"
-#include "mesh/tri_mesh.hpp"
+#include "mesh/simplex.hpp"
 #include "partition/partition.hpp"
 
 namespace pnr::fed {
 
 using Bytes = std::vector<std::uint8_t>;
-
-namespace detail {
-
-/// The slice of mesh API the migration codec needs, specialized per mesh
-/// family (kept local so pnr_fed does not depend on the simulator or fem).
-template <typename Mesh>
-struct MeshTraits;
-
-template <>
-struct MeshTraits<mesh::TriMesh> {
-  static constexpr int kVertsPerElem = 3;
-  static constexpr int kDim = 2;
-  static const auto& elem(const mesh::TriMesh& m, mesh::ElemIdx e) {
-    return m.tri(e);
-  }
-  static void coords(const mesh::TriMesh& m, mesh::VertIdx v, double* out) {
-    const auto& p = m.vertex(v);
-    out[0] = p.x;
-    out[1] = p.y;
-  }
-  template <typename F>
-  static void for_each_interface(const mesh::TriMesh& m, F&& f) {
-    m.for_each_leaf_edge([&](mesh::VertIdx, mesh::VertIdx, mesh::ElemIdx e1,
-                             mesh::ElemIdx e2) { f(e1, e2); });
-  }
-};
-
-template <>
-struct MeshTraits<mesh::TetMesh> {
-  static constexpr int kVertsPerElem = 4;
-  static constexpr int kDim = 3;
-  static const auto& elem(const mesh::TetMesh& m, mesh::ElemIdx e) {
-    return m.tet(e);
-  }
-  static void coords(const mesh::TetMesh& m, mesh::VertIdx v, double* out) {
-    const auto& p = m.vertex(v);
-    out[0] = p.x;
-    out[1] = p.y;
-    out[2] = p.z;
-  }
-  template <typename F>
-  static void for_each_interface(const mesh::TetMesh& m, F&& f) {
-    m.for_each_leaf_face([&](mesh::VertIdx, mesh::VertIdx, mesh::VertIdx,
-                             mesh::ElemIdx e1, mesh::ElemIdx e2) {
-      f(e1, e2);
-    });
-  }
-};
-
-}  // namespace detail
 
 /// Serialize the refinement-history subtree rooted at initial element
 /// `root` (which must be alive) into a migration payload.

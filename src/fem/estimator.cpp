@@ -7,7 +7,7 @@ namespace pnr::fem {
 
 double element_indicator(const mesh::TriMesh& mesh, mesh::ElemIdx e,
                          const ScalarField2& field) {
-  const auto& t = mesh.tri(e);
+  const auto& t = mesh.element(e);
   const mesh::Point2 c = mesh.centroid(e);
   const double uc = field.value(c.x, c.y);
   double eta = 0.0;
@@ -20,7 +20,7 @@ double element_indicator(const mesh::TriMesh& mesh, mesh::ElemIdx e,
 
 double element_indicator(const mesh::TetMesh& mesh, mesh::ElemIdx e,
                          const ScalarField3& field) {
-  const auto& t = mesh.tet(e);
+  const auto& t = mesh.element(e);
   const mesh::Point3 c = mesh.centroid(e);
   const double uc = field.value(c.x, c.y, c.z);
   double eta = 0.0;
@@ -33,14 +33,13 @@ double element_indicator(const mesh::TetMesh& mesh, mesh::ElemIdx e,
 
 namespace {
 
-template <typename Mesh, typename Field, typename TreeDepth>
+template <typename Mesh, typename Field>
 std::vector<mesh::ElemIdx> mark_refine_impl(const Mesh& mesh,
                                             const Field& field,
-                                            const MarkOptions& options,
-                                            TreeDepth&& level_of) {
+                                            const MarkOptions& options) {
   std::vector<mesh::ElemIdx> marked;
   for (const mesh::ElemIdx e : mesh.leaf_elements())
-    if (level_of(e) < options.max_level &&
+    if (mesh.element(e).level < options.max_level &&
         element_indicator(mesh, e, field) > options.refine_threshold)
       marked.push_back(e);
   return marked;
@@ -63,15 +62,13 @@ std::vector<mesh::ElemIdx> mark_coarsen_impl(const Mesh& mesh,
 std::vector<mesh::ElemIdx> mark_for_refinement(const mesh::TriMesh& mesh,
                                                const ScalarField2& field,
                                                const MarkOptions& options) {
-  return mark_refine_impl(mesh, field, options,
-                          [&](mesh::ElemIdx e) { return mesh.tri(e).level; });
+  return mark_refine_impl(mesh, field, options);
 }
 
 std::vector<mesh::ElemIdx> mark_for_refinement(const mesh::TetMesh& mesh,
                                                const ScalarField3& field,
                                                const MarkOptions& options) {
-  return mark_refine_impl(mesh, field, options,
-                          [&](mesh::ElemIdx e) { return mesh.tet(e).level; });
+  return mark_refine_impl(mesh, field, options);
 }
 
 std::vector<mesh::ElemIdx> mark_for_coarsening(const mesh::TriMesh& mesh,

@@ -35,7 +35,7 @@ P1System assemble_poisson(const mesh::TriMesh& mesh,
   vals.reserve(leaves.size() * 9);
 
   for (const mesh::ElemIdx e : leaves) {
-    const auto& t = mesh.tri(e);
+    const auto& t = mesh.element(e);
     const mesh::Point2 p[3] = {mesh.vertex(t.v[0]), mesh.vertex(t.v[1]),
                                mesh.vertex(t.v[2])};
     const double area = mesh.signed_area(e);
@@ -96,7 +96,7 @@ P1System assemble_poisson(const mesh::TetMesh& mesh,
   vals.reserve(leaves.size() * 16);
 
   for (const mesh::ElemIdx e : leaves) {
-    const auto& t = mesh.tet(e);
+    const auto& t = mesh.element(e);
     const mesh::Point3 p[4] = {mesh.vertex(t.v[0]), mesh.vertex(t.v[1]),
                                mesh.vertex(t.v[2]), mesh.vertex(t.v[3])};
     const double vol = mesh.signed_volume(e);

@@ -12,6 +12,7 @@
 // t ∈ [−0.5, 0.5].
 
 #include <functional>
+#include <type_traits>
 
 namespace pnr::fem {
 
@@ -26,6 +27,11 @@ struct ScalarField3 {
   std::function<double(double, double, double)> value;
   std::function<double(double, double, double)> neg_laplacian;
 };
+
+/// The field type that drives adaptation of a mesh of dimension Mesh::kDim.
+template <typename Mesh>
+using MeshField =
+    std::conditional_t<Mesh::kDim == 2, ScalarField2, ScalarField3>;
 
 /// The Section 6 corner problem (harmonic).
 ScalarField2 corner_problem_2d();

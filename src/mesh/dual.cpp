@@ -7,10 +7,8 @@
 
 namespace pnr::mesh {
 
-namespace {
-
-template <typename Mesh, typename ForEachInterface>
-FineDual fine_dual_impl(const Mesh& mesh, ForEachInterface&& for_each) {
+template <typename Mesh>
+FineDual fine_dual_graph(const Mesh& mesh) {
   PNR_PROF_SPAN("mesh.dual");
   FineDual out;
   out.elems = mesh.leaf_elements();
@@ -29,7 +27,7 @@ FineDual fine_dual_impl(const Mesh& mesh, ForEachInterface&& for_each) {
   // assembler then turns into the CSR graph.
   std::vector<graph::WeightedEdge> edges;
   edges.reserve(static_cast<std::size_t>(num_leaves) * 3 / 2);
-  for_each([&](ElemIdx e1, ElemIdx e2) {
+  for_each_leaf_interface(mesh, [&](ElemIdx e1, ElemIdx e2) {
     if (e1 == kNoElem || e2 == kNoElem) return;
     edges.push_back({out.dense[static_cast<std::size_t>(e1)],
                      out.dense[static_cast<std::size_t>(e2)], 1});
@@ -39,29 +37,11 @@ FineDual fine_dual_impl(const Mesh& mesh, ForEachInterface&& for_each) {
   return out;
 }
 
-}  // namespace
-
-FineDual fine_dual_graph(const TriMesh& mesh) {
-  return fine_dual_impl(mesh, [&](auto&& emit) {
-    mesh.for_each_leaf_edge(
-        [&](VertIdx, VertIdx, ElemIdx e1, ElemIdx e2) { emit(e1, e2); });
-  });
-}
-
-FineDual fine_dual_graph(const TetMesh& mesh) {
-  return fine_dual_impl(mesh, [&](auto&& emit) {
-    mesh.for_each_leaf_face([&](VertIdx, VertIdx, VertIdx, ElemIdx e1,
-                                ElemIdx e2) { emit(e1, e2); });
-  });
-}
-
-namespace {
-
 /// Both meshes maintain per-coarse leaf counts and interface weights
 /// incrementally (the paper's P1 phase), so assembling G is O(|G|), not
 /// O(fine mesh).
 template <typename Mesh>
-graph::Graph nested_dual_impl2(const Mesh& mesh) {
+graph::Graph nested_dual_graph(const Mesh& mesh) {
   const auto n0 = mesh.num_initial_elements();
   graph::GraphBuilder builder(n0);
   for (ElemIdx c = 0; c < n0; ++c)
@@ -73,21 +53,9 @@ graph::Graph nested_dual_impl2(const Mesh& mesh) {
   return builder.build();
 }
 
-}  // namespace
-
-graph::Graph nested_dual_graph(const TriMesh& mesh) {
-  return nested_dual_impl2(mesh);
-}
-
-graph::Graph nested_dual_graph(const TetMesh& mesh) {
-  return nested_dual_impl2(mesh);
-}
-
-namespace {
-
 template <typename Mesh>
-bool apply_dual_delta_impl(const Mesh& mesh, const DualWeightDelta& delta,
-                           graph::Graph& g) {
+bool apply_dual_delta(const Mesh& mesh, const DualWeightDelta& delta,
+                      graph::Graph& g) {
   PNR_PROF_SPAN("mesh.dual_delta");
   PNR_REQUIRE(g.num_vertices() == mesh.num_initial_elements());
   for (const ElemIdx c : delta.vertices) {
@@ -107,84 +75,44 @@ bool apply_dual_delta_impl(const Mesh& mesh, const DualWeightDelta& delta,
   return true;
 }
 
+namespace {
+
+/// Row-major n×D centroids of elements elem_of(0..n-1).
+template <typename Mesh, typename ElemOf>
+std::vector<double> centroids(const Mesh& mesh, std::size_t n,
+                              ElemOf&& elem_of) {
+  constexpr auto D = static_cast<std::size_t>(Mesh::kDim);
+  std::vector<double> out(n * D);
+  exec::default_pool().parallel_for(
+      static_cast<std::int64_t>(n), [&](std::int64_t b, std::int64_t e) {
+        for (std::int64_t k = b; k < e; ++k) {
+          const auto i = static_cast<std::size_t>(k);
+          const auto c = coords(mesh.centroid(elem_of(i)));
+          for (std::size_t d = 0; d < D; ++d) out[i * D + d] = c[d];
+        }
+      });
+  return out;
+}
+
 }  // namespace
 
-bool apply_dual_delta(const TriMesh& mesh, const DualWeightDelta& delta,
-                      graph::Graph& g) {
-  return apply_dual_delta_impl(mesh, delta, g);
-}
-
-bool apply_dual_delta(const TetMesh& mesh, const DualWeightDelta& delta,
-                      graph::Graph& g) {
-  return apply_dual_delta_impl(mesh, delta, g);
-}
-
-std::vector<double> leaf_centroids(const TriMesh& mesh,
+template <typename Mesh>
+std::vector<double> leaf_centroids(const Mesh& mesh,
                                    const std::vector<ElemIdx>& elems) {
-  std::vector<double> coords(elems.size() * 2);
-  exec::default_pool().parallel_for(
-      static_cast<std::int64_t>(elems.size()),
-      [&](std::int64_t b, std::int64_t e) {
-        for (std::int64_t k = b; k < e; ++k) {
-          const auto i = static_cast<std::size_t>(k);
-          const Point2 c = mesh.centroid(elems[i]);
-          coords[i * 2] = c.x;
-          coords[i * 2 + 1] = c.y;
-        }
-      });
-  return coords;
+  return centroids(mesh, elems.size(),
+                   [&](std::size_t i) { return elems[i]; });
 }
 
-std::vector<double> leaf_centroids(const TetMesh& mesh,
-                                   const std::vector<ElemIdx>& elems) {
-  std::vector<double> coords(elems.size() * 3);
-  exec::default_pool().parallel_for(
-      static_cast<std::int64_t>(elems.size()),
-      [&](std::int64_t b, std::int64_t e) {
-        for (std::int64_t k = b; k < e; ++k) {
-          const auto i = static_cast<std::size_t>(k);
-          const Point3 c = mesh.centroid(elems[i]);
-          coords[i * 3] = c.x;
-          coords[i * 3 + 1] = c.y;
-          coords[i * 3 + 2] = c.z;
-        }
-      });
-  return coords;
+template <typename Mesh>
+std::vector<double> coarse_centroids(const Mesh& mesh) {
+  return centroids(
+      mesh, static_cast<std::size_t>(mesh.num_initial_elements()),
+      [](std::size_t i) { return static_cast<ElemIdx>(i); });
 }
 
-std::vector<double> coarse_centroids(const TriMesh& mesh) {
-  const auto n = static_cast<std::size_t>(mesh.num_initial_elements());
-  std::vector<double> coords(n * 2);
-  exec::default_pool().parallel_for(
-      static_cast<std::int64_t>(n), [&](std::int64_t b, std::int64_t e) {
-        for (std::int64_t k = b; k < e; ++k) {
-          const auto i = static_cast<std::size_t>(k);
-          const Point2 c = mesh.centroid(static_cast<ElemIdx>(k));
-          coords[i * 2] = c.x;
-          coords[i * 2 + 1] = c.y;
-        }
-      });
-  return coords;
-}
-
-std::vector<double> coarse_centroids(const TetMesh& mesh) {
-  const auto n = static_cast<std::size_t>(mesh.num_initial_elements());
-  std::vector<double> coords(n * 3);
-  exec::default_pool().parallel_for(
-      static_cast<std::int64_t>(n), [&](std::int64_t b, std::int64_t e) {
-        for (std::int64_t k = b; k < e; ++k) {
-          const auto i = static_cast<std::size_t>(k);
-          const Point3 c = mesh.centroid(static_cast<ElemIdx>(k));
-          coords[i * 3] = c.x;
-          coords[i * 3 + 1] = c.y;
-          coords[i * 3 + 2] = c.z;
-        }
-      });
-  return coords;
-}
-
+template <typename Mesh>
 std::vector<part::PartId> project_coarse_assignment(
-    const TriMesh& mesh, const std::vector<ElemIdx>& elems,
+    const Mesh& mesh, const std::vector<ElemIdx>& elems,
     std::span<const part::PartId> coarse_assign) {
   PNR_REQUIRE(coarse_assign.size() ==
               static_cast<std::size_t>(mesh.num_initial_elements()));
@@ -194,29 +122,30 @@ std::vector<part::PartId> project_coarse_assignment(
       [&](std::int64_t b, std::int64_t e) {
         for (std::int64_t k = b; k < e; ++k) {
           const auto i = static_cast<std::size_t>(k);
-          out[i] =
-              coarse_assign[static_cast<std::size_t>(mesh.tri(elems[i]).coarse)];
+          out[i] = coarse_assign[static_cast<std::size_t>(
+              mesh.element(elems[i]).coarse)];
         }
       });
   return out;
 }
 
-std::vector<part::PartId> project_coarse_assignment(
-    const TetMesh& mesh, const std::vector<ElemIdx>& elems,
-    std::span<const part::PartId> coarse_assign) {
-  PNR_REQUIRE(coarse_assign.size() ==
-              static_cast<std::size_t>(mesh.num_initial_elements()));
-  std::vector<part::PartId> out(elems.size());
-  exec::default_pool().parallel_for(
-      static_cast<std::int64_t>(elems.size()),
-      [&](std::int64_t b, std::int64_t e) {
-        for (std::int64_t k = b; k < e; ++k) {
-          const auto i = static_cast<std::size_t>(k);
-          out[i] =
-              coarse_assign[static_cast<std::size_t>(mesh.tet(elems[i]).coarse)];
-        }
-      });
-  return out;
-}
+template FineDual fine_dual_graph(const TriMesh&);
+template FineDual fine_dual_graph(const TetMesh&);
+template graph::Graph nested_dual_graph(const TriMesh&);
+template graph::Graph nested_dual_graph(const TetMesh&);
+template bool apply_dual_delta(const TriMesh&, const DualWeightDelta&,
+                               graph::Graph&);
+template bool apply_dual_delta(const TetMesh&, const DualWeightDelta&,
+                               graph::Graph&);
+template std::vector<double> leaf_centroids(const TriMesh&,
+                                            const std::vector<ElemIdx>&);
+template std::vector<double> leaf_centroids(const TetMesh&,
+                                            const std::vector<ElemIdx>&);
+template std::vector<double> coarse_centroids(const TriMesh&);
+template std::vector<double> coarse_centroids(const TetMesh&);
+template std::vector<part::PartId> project_coarse_assignment(
+    const TriMesh&, const std::vector<ElemIdx>&, std::span<const part::PartId>);
+template std::vector<part::PartId> project_coarse_assignment(
+    const TetMesh&, const std::vector<ElemIdx>&, std::span<const part::PartId>);
 
 }  // namespace pnr::mesh

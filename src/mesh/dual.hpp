@@ -4,6 +4,9 @@
 // * fine dual graph: one vertex per *leaf* element, an edge when two leaves
 //   share an edge (2D) or face (3D); unit weights. This is what the RSB /
 //   Multilevel-KL baselines partition, exactly as the paper's Section 7 does.
+// Every reader is one template over the mesh type (mesh/simplex.hpp),
+// instantiated for TriMesh and TetMesh.
+//
 // * nested (coarse) dual graph: one vertex per *initial* element Ω_a with
 //   weight = number of leaves of its refinement tree τ_a; an edge between
 //   initial elements with weight = number of adjacent leaf pairs across
@@ -13,8 +16,7 @@
 #include <vector>
 
 #include "graph/csr.hpp"
-#include "mesh/tet_mesh.hpp"
-#include "mesh/tri_mesh.hpp"
+#include "mesh/simplex.hpp"
 #include "partition/partition.hpp"
 
 namespace pnr::mesh {
@@ -25,13 +27,13 @@ struct FineDual {
   std::vector<graph::VertexId> dense;  ///< element id -> dual vertex (or -1)
 };
 
-FineDual fine_dual_graph(const TriMesh& mesh);
-FineDual fine_dual_graph(const TetMesh& mesh);
+template <typename Mesh>
+FineDual fine_dual_graph(const Mesh& mesh);
 
 /// The PNR coarse graph G of M^0 with leaf-count vertex weights and
 /// adjacent-leaf-pair edge weights.
-graph::Graph nested_dual_graph(const TriMesh& mesh);
-graph::Graph nested_dual_graph(const TetMesh& mesh);
+template <typename Mesh>
+graph::Graph nested_dual_graph(const Mesh& mesh);
 
 /// The weight changes of G accumulated by a mesh between two drains of
 /// TriMesh/TetMesh::drain_dual_delta(). `vertices` lists, sorted and
@@ -54,31 +56,27 @@ struct DualWeightDelta {
 /// mesh disagrees with g's fixed topology (an interface weight at zero or an
 /// adjacency g does not know about), which indicates the graph was not built
 /// from this mesh.
-bool apply_dual_delta(const TriMesh& mesh, const DualWeightDelta& delta,
-                      graph::Graph& g);
-bool apply_dual_delta(const TetMesh& mesh, const DualWeightDelta& delta,
+template <typename Mesh>
+bool apply_dual_delta(const Mesh& mesh, const DualWeightDelta& delta,
                       graph::Graph& g);
 
 /// Leaf centroids in dense dual-vertex order (row-major n×2 / n×3), for the
 /// geometric partitioner.
-std::vector<double> leaf_centroids(const TriMesh& mesh,
-                                   const std::vector<ElemIdx>& elems);
-std::vector<double> leaf_centroids(const TetMesh& mesh,
+template <typename Mesh>
+std::vector<double> leaf_centroids(const Mesh& mesh,
                                    const std::vector<ElemIdx>& elems);
 
 /// Initial-element centroids in nested-dual vertex order (row-major n×2 /
 /// n×3), for the geometric engines over the coarse graph. M^0 is fixed, so
 /// one computation per session suffices.
-std::vector<double> coarse_centroids(const TriMesh& mesh);
-std::vector<double> coarse_centroids(const TetMesh& mesh);
+template <typename Mesh>
+std::vector<double> coarse_centroids(const Mesh& mesh);
 
 /// Expand a partition of the nested coarse graph to the fine leaves: leaf i
 /// (dense order of `elems`) inherits the subset of its level-0 ancestor.
+template <typename Mesh>
 std::vector<part::PartId> project_coarse_assignment(
-    const TriMesh& mesh, const std::vector<ElemIdx>& elems,
-    std::span<const part::PartId> coarse_assign);
-std::vector<part::PartId> project_coarse_assignment(
-    const TetMesh& mesh, const std::vector<ElemIdx>& elems,
+    const Mesh& mesh, const std::vector<ElemIdx>& elems,
     std::span<const part::PartId> coarse_assign);
 
 }  // namespace pnr::mesh

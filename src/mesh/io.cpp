@@ -149,9 +149,10 @@ std::optional<EleData> read_elements(const std::string& path,
   return data;
 }
 
-template <typename Mesh, typename WriteElem>
-bool write_triangle_impl(const Mesh& mesh, const std::string& basename,
-                         int dim, int per, WriteElem&& write_elem) {
+}  // namespace
+
+template <typename Mesh>
+bool write_triangle_files(const Mesh& mesh, const std::string& basename) {
   const auto elems = mesh.leaf_elements();
   // Dense-number the alive vertices.
   std::vector<std::int64_t> vert_id(mesh.vertex_slots(), -1);
@@ -162,30 +163,34 @@ bool write_triangle_impl(const Mesh& mesh, const std::string& basename,
   for (std::size_t v = 0; v < mesh.vertex_slots(); ++v)
     if (mesh.vertex_alive(static_cast<VertIdx>(v))) {
       vert_id[v] = next++;
-      const auto& p = mesh.vertex(static_cast<VertIdx>(v));
-      node_body << vert_id[v] << ' ' << p.x << ' ' << p.y;
-      if constexpr (std::is_same_v<Mesh, TetMesh>) node_body << ' ' << p.z;
+      node_body << vert_id[v];
+      for (const double c : coords(mesh.vertex(static_cast<VertIdx>(v))))
+        node_body << ' ' << c;
       node_body << '\n';
     }
-  node_f << (next - 1) << ' ' << dim << " 0 0\n" << node_body.str();
+  node_f << (next - 1) << ' ' << Mesh::kDim << " 0 0\n" << node_body.str();
   if (!node_f) return false;
 
   std::ofstream ele_f(basename + ".ele");
   if (!ele_f) return false;
-  ele_f << elems.size() << ' ' << per << " 0\n";
+  ele_f << elems.size() << ' ' << Mesh::kVertsPerElem << " 0\n";
   for (std::size_t i = 0; i < elems.size(); ++i) {
     ele_f << (i + 1);
-    write_elem(ele_f, elems[i], vert_id);
+    for (const VertIdx v : mesh.element(elems[i]).v)
+      ele_f << ' ' << vert_id[static_cast<std::size_t>(v)];
     ele_f << '\n';
   }
   return static_cast<bool>(ele_f);
 }
 
 template <typename Mesh>
-bool write_vtk_impl(const Mesh& mesh, const std::vector<ElemIdx>& elems,
-                    const std::vector<part::PartId>& assign,
-                    const std::string& path, int per, int cell_type) {
+bool write_vtk(const Mesh& mesh, const std::vector<ElemIdx>& elems,
+               const std::vector<part::PartId>& assign,
+               const std::string& path) {
   PNR_REQUIRE(assign.empty() || assign.size() == elems.size());
+  constexpr int per = Mesh::kVertsPerElem;
+  constexpr int cell_type = Mesh::kDim == 2 ? /*VTK_TRIANGLE=*/5
+                                            : /*VTK_TETRA=*/10;
   std::ofstream f(path);
   if (!f) return false;
 
@@ -195,9 +200,9 @@ bool write_vtk_impl(const Mesh& mesh, const std::vector<ElemIdx>& elems,
   for (std::size_t v = 0; v < mesh.vertex_slots(); ++v)
     if (mesh.vertex_alive(static_cast<VertIdx>(v))) {
       vert_id[v] = count++;
-      const auto& p = mesh.vertex(static_cast<VertIdx>(v));
-      points << p.x << ' ' << p.y << ' ';
-      if constexpr (std::is_same_v<Mesh, TetMesh>) points << p.z;
+      const auto c = coords(mesh.vertex(static_cast<VertIdx>(v)));
+      points << c[0] << ' ' << c[1] << ' ';
+      if constexpr (Mesh::kDim == 3) points << c[2];
       else points << 0.0;
       points << '\n';
     }
@@ -208,12 +213,8 @@ bool write_vtk_impl(const Mesh& mesh, const std::vector<ElemIdx>& elems,
   f << "CELLS " << elems.size() << ' ' << elems.size() * (per + 1) << '\n';
   for (const ElemIdx e : elems) {
     f << per;
-    const auto& t = [&] {
-      if constexpr (std::is_same_v<Mesh, TetMesh>) return mesh.tet(e);
-      else return mesh.tri(e);
-    }();
-    for (int k = 0; k < per; ++k)
-      f << ' ' << vert_id[static_cast<std::size_t>(t.v[static_cast<std::size_t>(k)])];
+    for (const VertIdx v : mesh.element(e).v)
+      f << ' ' << vert_id[static_cast<std::size_t>(v)];
     f << '\n';
   }
   f << "CELL_TYPES " << elems.size() << '\n';
@@ -226,25 +227,12 @@ bool write_vtk_impl(const Mesh& mesh, const std::vector<ElemIdx>& elems,
   return static_cast<bool>(f);
 }
 
-}  // namespace
-
-bool write_triangle_files(const TriMesh& mesh, const std::string& basename) {
-  return write_triangle_impl(
-      mesh, basename, 2, 3,
-      [&](std::ostream& os, ElemIdx e, const std::vector<std::int64_t>& id) {
-        for (const VertIdx v : mesh.tri(e).v)
-          os << ' ' << id[static_cast<std::size_t>(v)];
-      });
-}
-
-bool write_triangle_files(const TetMesh& mesh, const std::string& basename) {
-  return write_triangle_impl(
-      mesh, basename, 3, 4,
-      [&](std::ostream& os, ElemIdx e, const std::vector<std::int64_t>& id) {
-        for (const VertIdx v : mesh.tet(e).v)
-          os << ' ' << id[static_cast<std::size_t>(v)];
-      });
-}
+template bool write_triangle_files(const TriMesh&, const std::string&);
+template bool write_triangle_files(const TetMesh&, const std::string&);
+template bool write_vtk(const TriMesh&, const std::vector<ElemIdx>&,
+                        const std::vector<part::PartId>&, const std::string&);
+template bool write_vtk(const TetMesh&, const std::vector<ElemIdx>&,
+                        const std::vector<part::PartId>&, const std::string&);
 
 std::optional<TriMesh> read_triangle_files(const std::string& basename) {
   const auto nodes = read_nodes(basename + ".node");
@@ -276,18 +264,6 @@ std::optional<TetMesh> read_tetgen_files(const std::string& basename) {
   auto mesh = try_build_tet_mesh(nodes->coords, eles->verts, &why);
   if (!mesh) PNR_LOG_WARN << basename << ": rejected mesh: " << why;
   return mesh;
-}
-
-bool write_vtk(const TriMesh& mesh, const std::vector<ElemIdx>& elems,
-               const std::vector<part::PartId>& assign,
-               const std::string& path) {
-  return write_vtk_impl(mesh, elems, assign, path, 3, /*VTK_TRIANGLE=*/5);
-}
-
-bool write_vtk(const TetMesh& mesh, const std::vector<ElemIdx>& elems,
-               const std::vector<part::PartId>& assign,
-               const std::string& path) {
-  return write_vtk_impl(mesh, elems, assign, path, 4, /*VTK_TETRA=*/10);
 }
 
 }  // namespace pnr::mesh

@@ -12,16 +12,15 @@
 #include <string>
 #include <vector>
 
-#include "mesh/tet_mesh.hpp"
-#include "mesh/tri_mesh.hpp"
+#include "mesh/simplex.hpp"
 #include "partition/partition.hpp"
 
 namespace pnr::mesh {
 
 /// Write `basename`.node and `basename`.ele (1-based indices, no attributes)
 /// describing the current leaf mesh. Returns false on I/O failure.
-bool write_triangle_files(const TriMesh& mesh, const std::string& basename);
-bool write_triangle_files(const TetMesh& mesh, const std::string& basename);
+template <typename Mesh>
+bool write_triangle_files(const Mesh& mesh, const std::string& basename);
 
 /// Read `basename`.node/.ele into a fresh 0-level mesh. Accepts 0- or
 /// 1-based indices, comment lines (#), and optional attribute/marker
@@ -34,10 +33,8 @@ std::optional<TetMesh> read_tetgen_files(const std::string& basename);
 
 /// Legacy-VTK dump of the leaves; `assign` (one entry per element of
 /// `elems`, may be empty) becomes a CELL_DATA scalar named "partition".
-bool write_vtk(const TriMesh& mesh, const std::vector<ElemIdx>& elems,
-               const std::vector<part::PartId>& assign,
-               const std::string& path);
-bool write_vtk(const TetMesh& mesh, const std::vector<ElemIdx>& elems,
+template <typename Mesh>
+bool write_vtk(const Mesh& mesh, const std::vector<ElemIdx>& elems,
                const std::vector<part::PartId>& assign,
                const std::string& path);
 

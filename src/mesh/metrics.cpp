@@ -8,53 +8,34 @@
 
 namespace pnr::mesh {
 
-namespace {
-
-/// Counts vertices touched by ≥ 2 subsets given per-leaf vertex spans.
-class SharedVertexCounter {
- public:
-  explicit SharedVertexCounter(std::size_t vertex_slots)
-      : first_part_(vertex_slots, -2), shared_(vertex_slots, false) {}
-
-  void touch(VertIdx v, part::PartId p) {
-    auto& f = first_part_[static_cast<std::size_t>(v)];
-    if (f == -2) {
-      f = p;
-    } else if (f != p && !shared_[static_cast<std::size_t>(v)]) {
-      shared_[static_cast<std::size_t>(v)] = true;
-      ++count_;
+template <typename Mesh>
+std::int64_t shared_vertices(const Mesh& mesh,
+                             const std::vector<ElemIdx>& elems,
+                             std::span<const part::PartId> assign) {
+  PNR_REQUIRE(assign.size() == elems.size());
+  // first_part[v]: the first subset seen touching v (-2 while untouched).
+  std::vector<part::PartId> first_part(mesh.vertex_slots(), -2);
+  std::vector<char> shared(mesh.vertex_slots(), false);
+  std::int64_t count = 0;
+  for (std::size_t i = 0; i < elems.size(); ++i)
+    for (const VertIdx v : mesh.element(elems[i]).v) {
+      const auto sv = static_cast<std::size_t>(v);
+      if (first_part[sv] == -2) {
+        first_part[sv] = assign[i];
+      } else if (first_part[sv] != assign[i] && !shared[sv]) {
+        shared[sv] = true;
+        ++count;
+      }
     }
-  }
-
-  std::int64_t count() const { return count_; }
-
- private:
-  std::vector<part::PartId> first_part_;
-  std::vector<char> shared_;
-  std::int64_t count_ = 0;
-};
-
-}  // namespace
-
-std::int64_t shared_vertices(const TriMesh& mesh,
-                             const std::vector<ElemIdx>& elems,
-                             std::span<const part::PartId> assign) {
-  PNR_REQUIRE(assign.size() == elems.size());
-  SharedVertexCounter counter(mesh.vertex_slots());
-  for (std::size_t i = 0; i < elems.size(); ++i)
-    for (const VertIdx v : mesh.tri(elems[i]).v) counter.touch(v, assign[i]);
-  return counter.count();
+  return count;
 }
 
-std::int64_t shared_vertices(const TetMesh& mesh,
-                             const std::vector<ElemIdx>& elems,
-                             std::span<const part::PartId> assign) {
-  PNR_REQUIRE(assign.size() == elems.size());
-  SharedVertexCounter counter(mesh.vertex_slots());
-  for (std::size_t i = 0; i < elems.size(); ++i)
-    for (const VertIdx v : mesh.tet(elems[i]).v) counter.touch(v, assign[i]);
-  return counter.count();
-}
+template std::int64_t shared_vertices(const TriMesh&,
+                                      const std::vector<ElemIdx>&,
+                                      std::span<const part::PartId>);
+template std::int64_t shared_vertices(const TetMesh&,
+                                      const std::vector<ElemIdx>&,
+                                      std::span<const part::PartId>);
 
 std::vector<std::int32_t> adjacent_subdomains(
     const graph::Graph& fine_dual, std::span<const part::PartId> assign,
@@ -83,7 +64,7 @@ MeshQuality mesh_quality(const TriMesh& mesh) {
   q.max_angle_deg = 0.0;
   bool first = true;
   for (const ElemIdx e : mesh.leaf_elements()) {
-    const auto& t = mesh.tri(e);
+    const auto& t = mesh.element(e);
     const double area = mesh.signed_area(e);
     if (first) {
       q.min_volume = q.max_volume = area;

@@ -16,10 +16,8 @@ namespace pnr::mesh {
 
 /// `assign[i]` is the subset of leaf `elems[i]`. Each vertex touching ≥ 2
 /// distinct subsets counts once.
-std::int64_t shared_vertices(const TriMesh& mesh,
-                             const std::vector<ElemIdx>& elems,
-                             std::span<const part::PartId> assign);
-std::int64_t shared_vertices(const TetMesh& mesh,
+template <typename Mesh>
+std::int64_t shared_vertices(const Mesh& mesh,
                              const std::vector<ElemIdx>& elems,
                              std::span<const part::PartId> assign);
 

@@ -49,7 +49,7 @@ bool write_partition_svg(const TriMesh& mesh,
 
   double min_x = 1e300, min_y = 1e300, max_x = -1e300, max_y = -1e300;
   for (const ElemIdx e : elems)
-    for (const VertIdx v : mesh.tri(e).v) {
+    for (const VertIdx v : mesh.element(e).v) {
       const Point2& p = mesh.vertex(v);
       min_x = std::min(min_x, p.x);
       max_x = std::max(max_x, p.x);
@@ -74,7 +74,7 @@ bool write_partition_svg(const TriMesh& mesh,
   auto py = [&](const Point2& p) { return (max_y - p.y) * scale; };  // y up
 
   for (std::size_t i = 0; i < elems.size(); ++i) {
-    const auto& t = mesh.tri(elems[i]);
+    const auto& t = mesh.element(elems[i]);
     const Point2& p0 = mesh.vertex(t.v[0]);
     const Point2& p1 = mesh.vertex(t.v[1]);
     const Point2& p2 = mesh.vertex(t.v[2]);

@@ -22,6 +22,9 @@ struct DualWeightDelta;  // mesh/dual.hpp
 
 class TetMesh {
  public:
+  static constexpr int kDim = 3;
+  static constexpr int kVertsPerElem = 4;
+
   struct Tet {
     std::array<VertIdx, 4> v{kNoVert, kNoVert, kNoVert, kNoVert};
     ElemIdx parent = kNoElem;
@@ -34,6 +37,8 @@ class TetMesh {
     bool leaf = false;
     bool alive = false;
   };
+  using Point = Point3;
+  using Element = Tet;
 
   // ---- construction -------------------------------------------------------
 
@@ -49,7 +54,9 @@ class TetMesh {
   std::size_t element_slots() const { return tets_.size(); }
   std::size_t vertex_slots() const { return verts_.size(); }
 
-  const Tet& tet(ElemIdx e) const { return tets_[static_cast<std::size_t>(e)]; }
+  const Tet& element(ElemIdx e) const {
+    return tets_[static_cast<std::size_t>(e)];
+  }
   void set_tag(ElemIdx e, std::int32_t tag) {
     tets_[static_cast<std::size_t>(e)].tag = tag;
   }

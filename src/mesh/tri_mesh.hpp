@@ -26,6 +26,9 @@ struct DualWeightDelta;  // mesh/dual.hpp
 
 class TriMesh {
  public:
+  static constexpr int kDim = 2;
+  static constexpr int kVertsPerElem = 3;
+
   struct Tri {
     std::array<VertIdx, 3> v{kNoVert, kNoVert, kNoVert};
     ElemIdx parent = kNoElem;
@@ -40,6 +43,8 @@ class TriMesh {
     bool leaf = false;   ///< current finest-mesh member
     bool alive = false;  ///< false for recycled slots
   };
+  using Point = Point2;
+  using Element = Tri;
 
   // ---- construction -------------------------------------------------------
 
@@ -60,7 +65,9 @@ class TriMesh {
   std::size_t element_slots() const { return tris_.size(); }
   std::size_t vertex_slots() const { return verts_.size(); }
 
-  const Tri& tri(ElemIdx e) const { return tris_[static_cast<std::size_t>(e)]; }
+  const Tri& element(ElemIdx e) const {
+    return tris_[static_cast<std::size_t>(e)];
+  }
   void set_tag(ElemIdx e, std::int32_t tag) {
     tris_[static_cast<std::size_t>(e)].tag = tag;
   }

@@ -45,4 +45,10 @@ struct Point3 {
   double z = 0.0;
 };
 
+/// A point's D coordinates in x, y[, z] order.
+inline std::array<double, 2> coords(const Point2& p) { return {p.x, p.y}; }
+inline std::array<double, 3> coords(const Point3& p) {
+  return {p.x, p.y, p.z};
+}
+
 }  // namespace pnr::mesh

@@ -76,10 +76,11 @@ graph::Graph ParedRankT<Mesh>::assemble_coarse_graph(StepStats& stats) {
   std::vector<EdgeTriple> edges;
   {
     std::unordered_map<std::uint64_t, graph::Weight> acc;
-    Traits::for_each_interface(mesh_, [&](mesh::ElemIdx e1, mesh::ElemIdx e2) {
+    mesh::for_each_leaf_interface(mesh_, [&](mesh::ElemIdx e1,
+                                             mesh::ElemIdx e2) {
       if (e1 == mesh::kNoElem || e2 == mesh::kNoElem) return;
-      const mesh::ElemIdx c1 = Traits::elem(mesh_, e1).coarse;
-      const mesh::ElemIdx c2 = Traits::elem(mesh_, e2).coarse;
+      const mesh::ElemIdx c1 = mesh_.element(e1).coarse;
+      const mesh::ElemIdx c2 = mesh_.element(e2).coarse;
       if (c1 == c2) return;
       const mesh::ElemIdx lo = std::min(c1, c2), hi = std::max(c1, c2);
       if (ownership_[static_cast<std::size_t>(lo)] != comm_.rank()) return;
@@ -128,31 +129,16 @@ Bytes ParedRankT<Mesh>::serialize_tree(mesh::ElemIdx root) const {
   // Depth-first dump of the refinement history tree plus the coordinates of
   // every vertex it references — a faithful migration payload.
   Writer w;
-  std::vector<mesh::ElemIdx> stack{root};
-  std::vector<mesh::ElemIdx> nodes;
-  while (!stack.empty()) {
-    const mesh::ElemIdx e = stack.back();
-    stack.pop_back();
-    nodes.push_back(e);
-    const auto& t = Traits::elem(mesh_, e);
-    if (!t.leaf) {
-      stack.push_back(t.child[0]);
-      stack.push_back(t.child[1]);
-    }
-  }
+  const auto nodes = mesh::subtree_elements(mesh_, root);
   w.put(static_cast<std::uint64_t>(nodes.size()));
   for (const mesh::ElemIdx e : nodes) {
-    const auto& t = Traits::elem(mesh_, e);
+    const auto& t = mesh_.element(e);
     w.put(e);
-    for (int k = 0; k < Traits::kVertsPerElem; ++k)
-      w.put(t.v[static_cast<std::size_t>(k)]);
+    for (const mesh::VertIdx v : t.v) w.put(v);
     w.put(t.level);
     w.put(static_cast<std::uint8_t>(t.leaf));
-    for (int k = 0; k < Traits::kVertsPerElem; ++k) {
-      double xyz[3];
-      Traits::coords(mesh_, t.v[static_cast<std::size_t>(k)], xyz);
-      for (int d = 0; d < Traits::kDim; ++d) w.put(xyz[d]);
-    }
+    for (const mesh::VertIdx v : t.v)
+      for (const double c : mesh::coords(mesh_.vertex(v))) w.put(c);
   }
   return w.take();
 }
@@ -163,20 +149,16 @@ void ParedRankT<Mesh>::validate_tree_payload(const Bytes& payload) const {
   const auto count = r.get<std::uint64_t>();
   for (std::uint64_t k = 0; k < count; ++k) {
     const auto e = r.get<mesh::ElemIdx>();
-    const auto& t = Traits::elem(mesh_, e);
+    const auto& t = mesh_.element(e);
     // Replication invariant: the shipped tree must match our replica bit
     // for bit (same ids, same topology, same geometry).
     PNR_REQUIRE(t.alive);
-    for (int i = 0; i < Traits::kVertsPerElem; ++i)
-      PNR_REQUIRE(t.v[static_cast<std::size_t>(i)] == r.get<mesh::VertIdx>());
+    for (const mesh::VertIdx v : t.v) PNR_REQUIRE(v == r.get<mesh::VertIdx>());
     PNR_REQUIRE(t.level == r.get<std::int16_t>());
     PNR_REQUIRE(static_cast<std::uint8_t>(t.leaf) == r.get<std::uint8_t>());
-    for (int i = 0; i < Traits::kVertsPerElem; ++i) {
-      double xyz[3];
-      Traits::coords(mesh_, t.v[static_cast<std::size_t>(i)], xyz);
-      for (int d = 0; d < Traits::kDim; ++d)
-        PNR_REQUIRE(xyz[d] == r.get<double>());
-    }
+    for (const mesh::VertIdx v : t.v)
+      for (const double c : mesh::coords(mesh_.vertex(v)))
+        PNR_REQUIRE(c == r.get<double>());
   }
   PNR_REQUIRE(r.done());
 }

@@ -24,8 +24,7 @@
 #include "core/pnr.hpp"
 #include "fem/estimator.hpp"
 #include "fem/problems.hpp"
-#include "mesh/tet_mesh.hpp"
-#include "mesh/tri_mesh.hpp"
+#include "mesh/simplex.hpp"
 #include "parallel/comm.hpp"
 
 namespace pnr::par {
@@ -40,62 +39,11 @@ struct StepStats {
   double imbalance_after = 0.0;
 };
 
-namespace detail {
-
-template <typename Mesh>
-struct MeshTraits;
-
-template <>
-struct MeshTraits<mesh::TriMesh> {
-  static constexpr int kVertsPerElem = 3;
-  static constexpr int kDim = 2;
-  using Field = fem::ScalarField2;
-  static const auto& elem(const mesh::TriMesh& m, mesh::ElemIdx e) {
-    return m.tri(e);
-  }
-  static void coords(const mesh::TriMesh& m, mesh::VertIdx v, double* out) {
-    const auto& p = m.vertex(v);
-    out[0] = p.x;
-    out[1] = p.y;
-  }
-  template <typename F>
-  static void for_each_interface(const mesh::TriMesh& m, F&& f) {
-    m.for_each_leaf_edge([&](mesh::VertIdx, mesh::VertIdx, mesh::ElemIdx e1,
-                             mesh::ElemIdx e2) { f(e1, e2); });
-  }
-};
-
-template <>
-struct MeshTraits<mesh::TetMesh> {
-  static constexpr int kVertsPerElem = 4;
-  static constexpr int kDim = 3;
-  using Field = fem::ScalarField3;
-  static const auto& elem(const mesh::TetMesh& m, mesh::ElemIdx e) {
-    return m.tet(e);
-  }
-  static void coords(const mesh::TetMesh& m, mesh::VertIdx v, double* out) {
-    const auto& p = m.vertex(v);
-    out[0] = p.x;
-    out[1] = p.y;
-    out[2] = p.z;
-  }
-  template <typename F>
-  static void for_each_interface(const mesh::TetMesh& m, F&& f) {
-    m.for_each_leaf_face([&](mesh::VertIdx, mesh::VertIdx, mesh::VertIdx,
-                             mesh::ElemIdx e1, mesh::ElemIdx e2) {
-      f(e1, e2);
-    });
-  }
-};
-
-}  // namespace detail
-
 /// One rank's view of the protocol. Construct inside World::run.
 template <typename Mesh>
 class ParedRankT {
  public:
-  using Traits = detail::MeshTraits<Mesh>;
-  using Field = typename Traits::Field;
+  using Field = fem::MeshField<Mesh>;
 
   /// Every rank constructs the same initial mesh (replication invariant).
   ParedRankT(Comm& comm, Mesh mesh, core::PnrOptions options,

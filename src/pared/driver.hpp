@@ -7,7 +7,6 @@
 // message-level version lives in pnr::par::ParedRank).
 
 #include <cstdint>
-#include <type_traits>
 
 #include "fem/estimator.hpp"
 #include "fem/p1.hpp"
@@ -39,8 +38,7 @@ struct DriverReport {
 template <typename Mesh>
 class AdaptiveDriver {
  public:
-  using Field = std::conditional_t<std::is_same_v<Mesh, mesh::TriMesh>,
-                                   fem::ScalarField2, fem::ScalarField3>;
+  using Field = fem::MeshField<Mesh>;
 
   AdaptiveDriver(Mesh mesh, DriverOptions options)
       : mesh_(std::move(mesh)),

@@ -95,51 +95,40 @@ std::optional<FlatMesh> decode_mesh(par::TryReader& r, const Limits& limits) {
   return m;
 }
 
-namespace {
-
-template <typename Mesh, typename Corners>
-FlatMesh flatten_impl(const Mesh& mesh, int dim, Corners&& corners) {
+template <typename Mesh>
+FlatMesh flatten_mesh(const Mesh& mesh) {
   FlatMesh flat;
-  flat.dim = dim;
+  flat.dim = Mesh::kDim;
   std::vector<std::int32_t> dense(mesh.vertex_slots(), -1);
   std::int32_t next = 0;
   for (std::size_t v = 0; v < mesh.vertex_slots(); ++v)
     if (mesh.vertex_alive(static_cast<mesh::VertIdx>(v))) {
       dense[v] = next++;
-      const auto& p = mesh.vertex(static_cast<mesh::VertIdx>(v));
-      flat.coords.push_back(p.x);
-      flat.coords.push_back(p.y);
-      if constexpr (std::is_same_v<Mesh, mesh::TetMesh>)
-        flat.coords.push_back(p.z);
+      for (const double c : mesh::coords(
+               mesh.vertex(static_cast<mesh::VertIdx>(v))))
+        flat.coords.push_back(c);
     }
   for (const mesh::ElemIdx e : mesh.leaf_elements())
-    for (const mesh::VertIdx v : corners(e))
+    for (const mesh::VertIdx v : mesh.element(e).v)
       flat.elems.push_back(dense[static_cast<std::size_t>(v)]);
   return flat;
 }
 
-}  // namespace
-
-FlatMesh flatten_mesh(const mesh::TriMesh& mesh) {
-  return flatten_impl(mesh, 2,
-                      [&](mesh::ElemIdx e) { return mesh.tri(e).v; });
-}
-
-FlatMesh flatten_mesh(const mesh::TetMesh& mesh) {
-  return flatten_impl(mesh, 3,
-                      [&](mesh::ElemIdx e) { return mesh.tet(e).v; });
-}
-
-std::optional<mesh::TriMesh> build_tri_mesh(const FlatMesh& m,
-                                            std::string* why) {
-  if (m.dim != 2) {
-    fail(why, "flat mesh shape is not 2D");
+template <typename Mesh>
+std::optional<Mesh> build_mesh(const FlatMesh& m, std::string* why) {
+  if (m.dim != Mesh::kDim) {
+    fail(why, Mesh::kDim == 2 ? "flat mesh shape is not 2D"
+                              : "flat mesh shape is not 3D");
     return std::nullopt;
   }
-  // Everything TriMesh::finalize PNR_REQUIREs is pre-validated by the mesh
-  // layer, so hostile input gets a typed error instead of aborting the
+  // Everything the mesh's finalize PNR_REQUIREs is pre-validated by the
+  // mesh layer, so hostile input gets a typed error instead of aborting the
   // server.
-  auto built = mesh::try_build_tri_mesh(m.coords, m.elems, why);
+  std::optional<Mesh> built;
+  if constexpr (Mesh::kDim == 2)
+    built = mesh::try_build_tri_mesh(m.coords, m.elems, why);
+  else
+    built = mesh::try_build_tet_mesh(m.coords, m.elems, why);
   if (!built) return std::nullopt;
   if (const auto report = check::check_mesh(*built); !report.ok()) {
     fail(why, "mesh audit failed");
@@ -148,20 +137,12 @@ std::optional<mesh::TriMesh> build_tri_mesh(const FlatMesh& m,
   return built;
 }
 
-std::optional<mesh::TetMesh> build_tet_mesh(const FlatMesh& m,
-                                            std::string* why) {
-  if (m.dim != 3) {
-    fail(why, "flat mesh shape is not 3D");
-    return std::nullopt;
-  }
-  auto built = mesh::try_build_tet_mesh(m.coords, m.elems, why);
-  if (!built) return std::nullopt;
-  if (const auto report = check::check_mesh(*built); !report.ok()) {
-    fail(why, "mesh audit failed");
-    return std::nullopt;
-  }
-  return built;
-}
+template FlatMesh flatten_mesh(const mesh::TriMesh&);
+template FlatMesh flatten_mesh(const mesh::TetMesh&);
+template std::optional<mesh::TriMesh> build_mesh(const FlatMesh&,
+                                                 std::string*);
+template std::optional<mesh::TetMesh> build_mesh(const FlatMesh&,
+                                                 std::string*);
 
 // ---- graphs -----------------------------------------------------------------
 

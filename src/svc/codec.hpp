@@ -16,8 +16,7 @@
 
 #include "check/check_fed.hpp"
 #include "graph/csr.hpp"
-#include "mesh/tet_mesh.hpp"
-#include "mesh/tri_mesh.hpp"
+#include "mesh/simplex.hpp"
 #include "pared/session.hpp"
 #include "pared/workloads.hpp"
 #include "parallel/serialize.hpp"
@@ -41,16 +40,15 @@ std::optional<FlatMesh> decode_mesh(par::TryReader& r, const Limits& limits);
 
 /// Current leaves of an adapted mesh as a FlatMesh (alive vertices densely
 /// renumbered) — the export/upload counterpart of mesh::write_triangle_files.
-FlatMesh flatten_mesh(const mesh::TriMesh& mesh);
-FlatMesh flatten_mesh(const mesh::TetMesh& mesh);
+template <typename Mesh>
+FlatMesh flatten_mesh(const Mesh& mesh);
 
-/// Build a finalized 0-level mesh. Everything TriMesh/TetMesh construction
-/// PNR_REQUIREs (index ranges, distinct corners, nonzero measure, manifold
-/// edges/faces) is pre-validated; failure returns nullopt with `why` set.
-std::optional<mesh::TriMesh> build_tri_mesh(const FlatMesh& m,
-                                            std::string* why = nullptr);
-std::optional<mesh::TetMesh> build_tet_mesh(const FlatMesh& m,
-                                            std::string* why = nullptr);
+/// Build a finalized 0-level Mesh (TriMesh or TetMesh; `m.dim` must be its
+/// kDim). Everything mesh construction PNR_REQUIREs (index ranges, distinct
+/// corners, nonzero measure, manifold edges/faces) is pre-validated;
+/// failure returns nullopt with `why` set.
+template <typename Mesh>
+std::optional<Mesh> build_mesh(const FlatMesh& m, std::string* why = nullptr);
 
 // ---- graphs -----------------------------------------------------------------
 

@@ -130,13 +130,6 @@ std::int64_t body_elements(const Body& body) {
   return std::visit(V{}, body);
 }
 
-const mesh::TriMesh::Tri& element_of(const mesh::TriMesh& m, mesh::ElemIdx e) {
-  return m.tri(e);
-}
-const mesh::TetMesh::Tet& element_of(const mesh::TetMesh& m, mesh::ElemIdx e) {
-  return m.tet(e);
-}
-
 /// Level-0 elements never disappear (coarsening stops at the roots), so
 /// parts <= roots guarantees check_partition's "no empty subset" invariant
 /// for the whole session lifetime.
@@ -144,17 +137,8 @@ template <typename Mesh>
 std::int64_t count_roots(const Mesh& mesh) {
   std::int64_t roots = 0;
   for (std::size_t e = 0; e < mesh.element_slots(); ++e)
-    roots += element_of(mesh, static_cast<mesh::ElemIdx>(e)).level == 0;
+    roots += mesh.element(static_cast<mesh::ElemIdx>(e)).level == 0;
   return roots;
-}
-
-template <typename Mesh>
-std::vector<part::PartId> leaf_assignment(const Mesh& mesh) {
-  std::vector<part::PartId> assign;
-  assign.reserve(static_cast<std::size_t>(mesh.num_leaves()));
-  for (const mesh::ElemIdx e : mesh.leaf_elements())
-    assign.push_back(mesh.tag(e));
-  return assign;
 }
 
 /// Registry sessions defer the fine-dual metrics tail of step(): the step
@@ -551,8 +535,9 @@ Reply Registry::op_create_mesh(const Bytes& payload) {
   std::optional<Body> body;
   std::string why;
   std::int64_t elements = 0;
-  if (flat->dim == 2) {
-    auto mesh = build_tri_mesh(*flat, &why);
+  // Screens the built mesh (a std::optional<TriMesh/TetMesh>) and admits it
+  // as the session body; returns the error reply on refusal.
+  const auto admit = [&](auto mesh) -> std::optional<Reply> {
     if (!mesh) {
       const bool audit = why == "mesh audit failed";
       return make_error(audit ? Err::kAuditFailed : Err::kBadPayload, why);
@@ -562,26 +547,19 @@ Reply Registry::op_create_mesh(const Bytes& payload) {
     elements = mesh->num_leaves();
     if (head->parts > elements)
       return make_error(Err::kBadPayload, "parts exceeds element count");
-    body.emplace(Mesh2DState{
+    using Mesh = typename decltype(mesh)::value_type;
+    using State =
+        std::conditional_t<Mesh::kDim == 2, Mesh2DState, Mesh3DState>;
+    body.emplace(State{
         std::move(*mesh),
-        deferred(pared::Session2D(head->strategy, head->parts,
-                                  head->session_seed, popt, eng))});
-  } else {
-    auto mesh = build_tet_mesh(*flat, &why);
-    if (!mesh) {
-      const bool audit = why == "mesh audit failed";
-      return make_error(audit ? Err::kAuditFailed : Err::kBadPayload, why);
-    }
-    if (!graph::is_connected(mesh::fine_dual_graph(*mesh).graph))
-      return make_error(Err::kBadPayload, "mesh dual graph is disconnected");
-    elements = mesh->num_leaves();
-    if (head->parts > elements)
-      return make_error(Err::kBadPayload, "parts exceeds element count");
-    body.emplace(Mesh3DState{
-        std::move(*mesh),
-        deferred(pared::Session3D(head->strategy, head->parts,
-                                  head->session_seed, popt, eng))});
-  }
+        deferred(pared::Session<Mesh>(head->strategy, head->parts,
+                                      head->session_seed, popt, eng))});
+    return std::nullopt;
+  };
+  const auto refused =
+      flat->dim == 2 ? admit(build_mesh<mesh::TriMesh>(*flat, &why))
+                     : admit(build_mesh<mesh::TetMesh>(*flat, &why));
+  if (refused) return *refused;
 
   auto st = std::make_unique<SessionState>(std::move(*body));
   st->strategy = head->strategy;
@@ -951,13 +929,13 @@ Reply Registry::op_get_assignment(const Bytes& payload) {
           return s.partition.assign;
         else if constexpr (std::is_same_v<T, Mesh2DState> ||
                            std::is_same_v<T, Mesh3DState>)
-          return leaf_assignment(s.mesh);
+          return fed::leaf_tags(s.mesh);
         else if constexpr (kIsFedState<T>)
           // Leaf tags mirror the committed tree ownership, so this is the
           // shard's adopted partition in dense leaf order.
-          return leaf_assignment(s.shard.run().mesh());
+          return fed::leaf_tags(s.shard.run().mesh());
         else
-          return leaf_assignment(s.run.mesh());
+          return fed::leaf_tags(s.run.mesh());
       },
       st->body);
 

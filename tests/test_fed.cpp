@@ -2,7 +2,8 @@
 // guards, coordinator equivalence against the fed-free single-process
 // session over real loopback servers, hostile migration payloads answered
 // with typed errors on live sessions, checkpoint/restore of federated
-// shard sessions, and the quiesce-before-shutdown teardown ordering.
+// shard sessions, the quiesce-before-shutdown teardown ordering, and the
+// subtree codec (pack_subtree / verify_subtree) in both dimensions.
 
 #include <gtest/gtest.h>
 
@@ -103,6 +104,71 @@ void expect_equivalence(svc::WorkloadSpec spec, int shards, int rounds) {
   EXPECT_EQ(coord.rounds(), rounds);
   EXPECT_EQ(coord.trajectory_fingerprint(), ref);
   ASSERT_TRUE(coord.finish(/*shutdown_daemons=*/true, &why)) << why;
+}
+
+/// The subtree codec on every root of an adapted transient mesh: each
+/// payload verifies against its own replica, reports the tree's leaves and
+/// has the size migrate.hpp documents; damaged payloads and a wrong root
+/// come back as a reason, never an abort.
+template <typename Run>
+void check_subtree_codec(const pared::TransientOptions& options) {
+  using Mesh = typename CoordinatorT<Run>::Mesh;
+  constexpr std::size_t V = Mesh::kVertsPerElem;
+  constexpr std::size_t D = Mesh::kDim;
+  Run run(options);
+  for (int i = 0; i < 3; ++i) run.advance();
+  const Mesh& mesh = run.mesh();
+
+  mesh::ElemIdx deepest = 0;
+  for (mesh::ElemIdx c = 0; c < mesh.num_initial_elements(); ++c) {
+    const Bytes bytes = pack_subtree(mesh, c);
+    std::string why;
+    const auto info =
+        verify_subtree(mesh, c, bytes.data(), bytes.size(), &why);
+    ASSERT_TRUE(info) << "root " << c << ": " << why;
+    EXPECT_EQ(info->leaves, mesh.leaf_count(c));
+    EXPECT_EQ(bytes.size(),
+              8 + static_cast<std::size_t>(info->nodes) *
+                      (4 + 4 * V + 2 + 1 + 8 * V * D));
+    if (mesh.leaf_count(c) > mesh.leaf_count(deepest)) deepest = c;
+  }
+  ASSERT_GT(mesh.leaf_count(deepest), 1) << "the run refined nothing";
+
+  const Bytes good = pack_subtree(mesh, deepest);
+  const auto rejects = [&](const Bytes& bytes, mesh::ElemIdx root) {
+    std::string why;
+    const bool refused =
+        !verify_subtree(mesh, root, bytes.data(), bytes.size(), &why);
+    return refused && !why.empty();
+  };
+  EXPECT_TRUE(rejects(Bytes(good.begin(), good.end() - 1), deepest))
+      << "truncated payload";
+  Bytes trailing = good;
+  trailing.push_back(0);
+  EXPECT_TRUE(rejects(trailing, deepest)) << "trailing byte";
+  Bytes flipped = good;
+  // The first node's first coordinate starts after its count, id, corner
+  // ids, level and leaf flag; flip the lowest bit of its mantissa.
+  flipped[8 + 4 + 4 * V + 2 + 1] ^= 1;
+  EXPECT_TRUE(rejects(flipped, deepest)) << "flipped coordinate bit";
+  const mesh::ElemIdx other = deepest == 0 ? 1 : 0;
+  EXPECT_TRUE(rejects(good, other)) << "wrong root";
+  EXPECT_TRUE(rejects(good, mesh.num_initial_elements()))
+      << "root out of range";
+}
+
+TEST(FedSubtree, CodecRoundTripsAndRefusesDamage2D) {
+  pared::TransientOptions options;
+  options.steps = 5;
+  options.grid_n = 6;
+  options.max_level = 3;
+  check_subtree_codec<pared::TransientRun>(options);
+}
+
+TEST(FedSubtree, CodecRoundTripsAndRefusesDamage3D) {
+  pared::TransientOptions options = pared::TransientRun3D::default_options();
+  options.steps = 3;
+  check_subtree_codec<pared::TransientRun3D>(options);
 }
 
 TEST(FedShard, LifecycleGuardsRejectOutOfOrderCalls) {

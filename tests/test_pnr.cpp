@@ -164,7 +164,7 @@ TEST(Snap, IdentityWhenAlreadyNested) {
   // A partition constant on each coarse element: snapping must not change it.
   std::vector<part::PartId> fine(elems.size());
   for (std::size_t i = 0; i < elems.size(); ++i)
-    fine[i] = static_cast<part::PartId>(mesh.tri(elems[i]).coarse % 4);
+    fine[i] = static_cast<part::PartId>(mesh.element(elems[i]).coarse % 4);
   const auto snap = snap_to_coarse(mesh, elems, fine, 4);
   EXPECT_EQ(snap.fine_assign, fine);
 }
@@ -178,7 +178,7 @@ TEST(Snap, MajorityRules) {
   std::vector<part::PartId> fine(elems.size(), 0);
   int count = 0;
   for (std::size_t i = 0; i < elems.size(); ++i)
-    if (mesh.tri(elems[i]).coarse == 0 && count++ % 4 != 0) fine[i] = 1;
+    if (mesh.element(elems[i]).coarse == 0 && count++ % 4 != 0) fine[i] = 1;
   const auto snap = snap_to_coarse(mesh, elems, fine, 2);
   EXPECT_EQ(snap.coarse_assign[0], 1);
 }
@@ -194,7 +194,7 @@ TEST(Snap, ProducesValidNestedPartition3D) {
   for (std::size_t i = 0; i < elems.size(); ++i)
     EXPECT_EQ(snap.fine_assign[i],
               snap.coarse_assign[static_cast<std::size_t>(
-                  mesh.tet(elems[i]).coarse)]);
+                  mesh.element(elems[i]).coarse)]);
 }
 
 }  // namespace

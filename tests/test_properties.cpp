@@ -51,8 +51,8 @@ TEST_P(RefineDeterminism, SameMarksSameMesh) {
   const auto lb = b.leaf_elements();
   ASSERT_EQ(la, lb);
   for (const mesh::ElemIdx e : la) {
-    EXPECT_EQ(a.tri(e).v, b.tri(e).v);
-    for (const mesh::VertIdx v : a.tri(e).v) {
+    EXPECT_EQ(a.element(e).v, b.element(e).v);
+    for (const mesh::VertIdx v : a.element(e).v) {
       EXPECT_EQ(a.vertex(v).x, b.vertex(v).x);
       EXPECT_EQ(a.vertex(v).y, b.vertex(v).y);
     }
@@ -70,7 +70,7 @@ TEST_P(BisectionGeometry, ChildrenHalveTheParent) {
   auto mesh = mesh::structured_tri_mesh(6, 6, 0.25, GetParam());
   mesh.refine(mesh.leaf_elements());
   for (std::size_t e = 0; e < mesh.element_slots(); ++e) {
-    const auto& t = mesh.tri(static_cast<mesh::ElemIdx>(e));
+    const auto& t = mesh.element(static_cast<mesh::ElemIdx>(e));
     if (!t.alive || t.leaf) continue;
     const double pa = mesh.signed_area(static_cast<mesh::ElemIdx>(e));
     const double c0 = mesh.signed_area(t.child[0]);

@@ -156,7 +156,9 @@ TEST(QuotientGraph, StaysExactUnderRandomMoves) {
     quotient.apply_move(conn, v, from, to);
     conn_apply_move(conn, g, v, from, to);
     pi.assign[static_cast<std::size_t>(v)] = to;
-    if (move % 50 == 0) ASSERT_EQ(quotient.violation(g, pi), "");
+    if (move % 50 == 0) {
+      ASSERT_EQ(quotient.violation(g, pi), "");
+    }
   }
   EXPECT_EQ(quotient.violation(g, pi), "");
 

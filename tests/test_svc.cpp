@@ -86,7 +86,7 @@ TEST(SvcCodec, MeshRoundTripsThroughFlattening) {
   EXPECT_EQ(decoded->dim, 2);
   EXPECT_EQ(decoded->coords, flat.coords);
   EXPECT_EQ(decoded->elems, flat.elems);
-  const auto rebuilt = build_tri_mesh(*decoded);
+  const auto rebuilt = build_mesh<mesh::TriMesh>(*decoded);
   ASSERT_TRUE(rebuilt);
   EXPECT_EQ(rebuilt->num_leaves(), mesh.num_leaves());
 }
@@ -94,7 +94,7 @@ TEST(SvcCodec, MeshRoundTripsThroughFlattening) {
 TEST(SvcCodec, TetMeshRoundTrips) {
   const auto mesh = mesh::structured_tet_mesh(2, 2, 2, 0.2, 5);
   const FlatMesh flat = flatten_mesh(mesh);
-  const auto rebuilt = build_tet_mesh(flat);
+  const auto rebuilt = build_mesh<mesh::TetMesh>(flat);
   ASSERT_TRUE(rebuilt);
   EXPECT_EQ(rebuilt->num_leaves(), mesh.num_leaves());
 }
@@ -103,31 +103,31 @@ TEST(SvcCodec, HostileMeshesAreRejectedWithoutAborting) {
   std::string why;
   {  // repeated corner
     FlatMesh m{2, {0, 0, 1, 0, 0, 1}, {0, 0, 1}};
-    EXPECT_FALSE(build_tri_mesh(m, &why));
+    EXPECT_FALSE(build_mesh<mesh::TriMesh>(m, &why));
   }
   {  // zero area
     FlatMesh m{2, {0, 0, 1, 0, 2, 0}, {0, 1, 2}};
-    EXPECT_FALSE(build_tri_mesh(m, &why));
+    EXPECT_FALSE(build_mesh<mesh::TriMesh>(m, &why));
   }
   {  // index out of range
     FlatMesh m{2, {0, 0, 1, 0, 0, 1}, {0, 1, 7}};
-    EXPECT_FALSE(build_tri_mesh(m, &why));
+    EXPECT_FALSE(build_mesh<mesh::TriMesh>(m, &why));
   }
   {  // non-finite coordinate
     FlatMesh m{2, {0, 0, 1, 0, 0, 1e301}, {0, 1, 2}};
     m.coords[5] = m.coords[5] * 1e10;  // inf
-    EXPECT_FALSE(build_tri_mesh(m, &why));
+    EXPECT_FALSE(build_mesh<mesh::TriMesh>(m, &why));
   }
   {  // non-manifold edge: three triangles on edge {0,1}
     FlatMesh m{2,
                {0, 0, 1, 0, 0, 1, 1, 1, -1, -1},
                {0, 1, 2, 0, 1, 3, 0, 1, 4}};
-    EXPECT_FALSE(build_tri_mesh(m, &why));
+    EXPECT_FALSE(build_mesh<mesh::TriMesh>(m, &why));
     EXPECT_NE(why.find("manifold"), std::string::npos);
   }
   {  // degenerate tet
     FlatMesh m{3, {0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 0}, {0, 1, 2, 3}};
-    EXPECT_FALSE(build_tet_mesh(m, &why));
+    EXPECT_FALSE(build_mesh<mesh::TetMesh>(m, &why));
   }
 }
 

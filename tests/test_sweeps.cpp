@@ -138,8 +138,8 @@ TEST(TetDeterminism, SameAdaptationSameMesh) {
   ASSERT_EQ(a.num_leaves(), b.num_leaves());
   ASSERT_EQ(a.leaf_elements(), b.leaf_elements());
   for (const mesh::ElemIdx e : a.leaf_elements()) {
-    EXPECT_EQ(a.tet(e).v, b.tet(e).v);
-    EXPECT_EQ(a.tet(e).level, b.tet(e).level);
+    EXPECT_EQ(a.element(e).v, b.element(e).v);
+    EXPECT_EQ(a.element(e).level, b.element(e).level);
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dual_checks.hpp"
 #include "mesh/dual.hpp"
 #include "mesh/generate.hpp"
 #include "mesh/metrics.hpp"
@@ -114,6 +115,26 @@ TEST(Coarsen3D, PartialMarkDoesNotBreakMesh) {
   leaves.resize(leaves.size() / 2);
   m.coarsen(leaves);
   EXPECT_TRUE(m.check_invariants().empty()) << m.check_invariants();
+}
+
+TEST(Dual3D, FineDualMatchesLeafCount) {
+  check_fine_dual_matches_leaf_count(unit_cube(2));
+}
+
+TEST(Dual3D, NestedEdgeWeightsCountAdjacentLeafPairs) {
+  check_nested_edge_weights_count_adjacent_leaf_pairs(
+      unit_cube(2));  // 48 initial tetrahedra
+}
+
+TEST(Dual3D, IncrementalInterfaceWeightsMatchBruteForce) {
+  check_incremental_interface_weights_match_brute_force(
+      unit_cube(3, 0.15, 23),
+      [](const TetMesh& m) { return leaves_in_ball(m, 0.4, -0.2, 0.3, 0.7); },
+      [](const TetMesh& m) { return leaves_in_ball(m, 0.2, -0.1, 0.3, 0.4); });
+}
+
+TEST(Dual3D, ProjectionAssignsAncestorSubset) {
+  check_projection_assigns_ancestor_subset(unit_cube(2));
 }
 
 TEST(Dual3D, FineDualDegreesAtMostFour) {

@@ -6,7 +6,7 @@
 
 #include <cmath>
 
-#include "graph/builder.hpp"
+#include "dual_checks.hpp"
 #include "mesh/dual.hpp"
 #include "mesh/generate.hpp"
 #include "mesh/metrics.hpp"
@@ -70,7 +70,7 @@ TEST(Refine, MarkedElementIsNoLongerLeaf) {
   TriMesh m = unit_square(4);
   m.refine({5});
   EXPECT_FALSE(m.is_leaf(5));
-  EXPECT_EQ(m.tri(5).child[0] != kNoElem, true);
+  EXPECT_EQ(m.element(5).child[0] != kNoElem, true);
 }
 
 TEST(Refine, AreaConservedThroughRefinement) {
@@ -118,7 +118,7 @@ TEST(Refine, LevelsIncreaseMonotonically) {
   m.refine(m.leaf_elements());
   m.refine(m.leaf_elements());
   for (const ElemIdx e : m.leaf_elements()) {
-    const auto& t = m.tri(e);
+    const auto& t = m.element(e);
     EXPECT_GE(t.level, 1);
     EXPECT_LE(t.level, 4);  // propagation bound for two uniform rounds
   }
@@ -155,7 +155,7 @@ TEST(Coarsen, RefusesWhenMidpointStillUsed) {
   TriMesh m = unit_square(4);
   m.refine({0});
   // Mark only one child: its sibling is unmarked, so nothing may coarsen.
-  ElemIdx child = m.tri(0).child[0];
+  ElemIdx child = m.element(0).child[0];
   const auto merges = m.coarsen({child});
   EXPECT_EQ(merges, 0);
 }
@@ -171,15 +171,7 @@ TEST(Coarsen, SlotsAreRecycled) {
 }
 
 TEST(Dual, FineDualMatchesLeafCount) {
-  TriMesh m = unit_square(4);
-  m.refine({0, 1, 2});
-  const auto dual = fine_dual_graph(m);
-  EXPECT_EQ(dual.graph.num_vertices(),
-            static_cast<graph::VertexId>(m.num_leaves()));
-  EXPECT_TRUE(dual.graph.validate().empty()) << dual.graph.validate();
-  // Every dual vertex weight is 1 (fine graph counts elements).
-  for (graph::VertexId v = 0; v < dual.graph.num_vertices(); ++v)
-    EXPECT_EQ(dual.graph.vertex_weight(v), 1);
+  check_fine_dual_matches_leaf_count(unit_square(4));
 }
 
 TEST(Dual, FineDualDegreesAtMostThree) {
@@ -201,61 +193,19 @@ TEST(Dual, NestedWeightsSumToLeaves) {
 }
 
 TEST(Dual, NestedEdgeWeightsCountAdjacentLeafPairs) {
-  // Refine one element heavily; edges of its coarse vertex must gain weight.
-  TriMesh m = unit_square(2);  // 8 initial triangles
-  const auto g0 = nested_dual_graph(m);
-  for (int round = 0; round < 3; ++round) {
-    std::vector<ElemIdx> marked;
-    for (const ElemIdx e : m.leaf_elements())
-      if (m.tri(e).coarse == 0) marked.push_back(e);
-    m.refine(marked);
-  }
-  const auto g1 = nested_dual_graph(m);
-  EXPECT_GT(g1.vertex_weight(0), g0.vertex_weight(0));
-  EXPECT_GE(g1.weighted_degree(0), g0.weighted_degree(0));
+  check_nested_edge_weights_count_adjacent_leaf_pairs(
+      unit_square(2));  // 8 initial triangles
 }
 
 TEST(Dual, IncrementalInterfaceWeightsMatchBruteForce) {
-  // The nested graph is assembled from incrementally maintained interface
-  // counters; they must agree with a scan of the fine leaf edges after an
-  // arbitrary refine/coarsen history.
-  TriMesh m = unit_square(5, 0.2, 23);
-  for (int round = 0; round < 3; ++round) {
-    m.refine(leaves_in_disc(m, 0.4, -0.2, 0.7));
-    m.coarsen(leaves_in_disc(m, -0.5, 0.5, 0.5));
-  }
-  const auto g = nested_dual_graph(m);
-
-  graph::GraphBuilder brute(m.num_initial_elements());
-  for (ElemIdx c = 0; c < m.num_initial_elements(); ++c)
-    brute.set_vertex_weight(c, m.leaf_count(c));
-  m.for_each_leaf_edge([&](VertIdx, VertIdx, ElemIdx e1, ElemIdx e2) {
-    if (e1 == kNoElem || e2 == kNoElem) return;
-    if (m.tri(e1).coarse != m.tri(e2).coarse)
-      brute.add_edge(m.tri(e1).coarse, m.tri(e2).coarse, 1);
-  });
-  const auto expected = brute.build();
-
-  ASSERT_EQ(g.num_vertices(), expected.num_vertices());
-  ASSERT_EQ(g.num_edges(), expected.num_edges());
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(g.vertex_weight(v), expected.vertex_weight(v));
-    for (const graph::VertexId u : expected.neighbors(v))
-      EXPECT_EQ(g.edge_weight(v, u), expected.edge_weight(v, u));
-  }
+  check_incremental_interface_weights_match_brute_force(
+      unit_square(5, 0.2, 23),
+      [](const TriMesh& m) { return leaves_in_disc(m, 0.4, -0.2, 0.7); },
+      [](const TriMesh& m) { return leaves_in_disc(m, -0.5, 0.5, 0.5); });
 }
 
 TEST(Dual, ProjectionAssignsAncestorSubset) {
-  TriMesh m = unit_square(2);
-  m.refine(m.leaf_elements());
-  const auto leaves = m.leaf_elements();
-  std::vector<part::PartId> coarse(static_cast<std::size_t>(m.num_initial_elements()));
-  for (std::size_t c = 0; c < coarse.size(); ++c)
-    coarse[c] = static_cast<part::PartId>(c % 2);
-  const auto fine = project_coarse_assignment(m, leaves, coarse);
-  for (std::size_t i = 0; i < leaves.size(); ++i)
-    EXPECT_EQ(fine[i],
-              coarse[static_cast<std::size_t>(m.tri(leaves[i]).coarse)]);
+  check_projection_assigns_ancestor_subset(unit_square(2));
 }
 
 TEST(Metrics, SharedVerticesSimpleSplit) {
