@@ -49,13 +49,15 @@ def diff_scalar(label, old, new, fmt="{:.4g}"):
 
 
 def diff_workload(old, new, args, phase_hits):
+    """Print the workload's diff; return its gated regression and the full
+    phase path that set it (None for the workload total or no regression)."""
     diff_scalar("total_seconds", old["total_seconds"], new["total_seconds"])
     diff_scalar("cut_final", old["cut_final"], new["cut_final"], "{:d}")
     diff_scalar("elements_final", old["elements_final"], new["elements_final"], "{:d}")
     diff_scalar("migration_fraction_mean", old["migration_fraction_mean"],
                 new["migration_fraction_mean"])
     diff_scalar("peak_rss_bytes", old["peak_rss_bytes"], new["peak_rss_bytes"], "{:d}")
-    regression = 0.0
+    regression, source = 0.0, None
     if not args.fail_phase and old["total_seconds"] > 0:
         regression = (new["total_seconds"] - old["total_seconds"]) / old["total_seconds"]
 
@@ -77,14 +79,15 @@ def diff_workload(old, new, args, phase_hits):
                 rows.append((path, f"{a['seconds'] * 1e3:10.2f} -> {b['seconds'] * 1e3:10.2f} ms"
                                    f"  {pct(a['seconds'], b['seconds'])}"))
             if args.fail_phase and args.fail_phase in path and a["seconds"] > 0:
-                regression = max(regression,
-                                 (b["seconds"] - a["seconds"]) / a["seconds"])
+                rel = (b["seconds"] - a["seconds"]) / a["seconds"]
+                if rel > regression:
+                    regression, source = rel, path
     if rows:
         print("  phases (>= {:.0%} change):".format(args.threshold)
               if not args.all else "  phases:")
         for path, text in rows:
             print(f"    {path:<56} {text}")
-    return regression
+    return regression, source
 
 
 def list_phases(paths):
@@ -127,7 +130,7 @@ def main():
 
     old_w = {w["name"]: w for w in before["workloads"]}
     new_w = {w["name"]: w for w in after["workloads"]}
-    worst = 0.0
+    worst, worst_at = 0.0, ""
     phase_hits = {"before": 0, "after": 0}
     for name in sorted(old_w.keys() | new_w.keys()):
         print(f"== {name}")
@@ -136,8 +139,12 @@ def main():
         elif name not in new_w:
             print("  (workload removed)")
         else:
-            worst = max(worst, diff_workload(old_w[name], new_w[name], args,
-                                             phase_hits))
+            regression, source = diff_workload(old_w[name], new_w[name],
+                                               args, phase_hits)
+            if regression > worst:
+                worst = regression
+                worst_at = f" in workload '{name}'" + (
+                    f" at '{source}'" if source else "")
 
     if args.fail_phase:
         # A tripwire that matches nothing would silently always pass; that is
@@ -154,7 +161,7 @@ def main():
     if args.fail_over is not None and worst * 100.0 > args.fail_over:
         what = (f"phase '{args.fail_phase}'" if args.fail_phase
                 else "total-time")
-        print(f"FAIL: worst {what} regression {worst:+.1%} exceeds "
+        print(f"FAIL: worst {what} regression {worst:+.1%}{worst_at} exceeds "
               f"--fail-over={args.fail_over}%")
         return 1
     return 0

@@ -72,6 +72,21 @@ def main():
     failures += check("regression above --fail-over exits 1",
                       r.returncode == 1, r.stdout + r.stderr)
 
+    # The FAIL line names the workload and the full phase path behind the
+    # worst value, not just the --fail-phase substring.
+    deep = "pipeline.repartition/session.step/mesh.dual_delta"
+    two = trajectory({"pipeline.repartition": 1.0, deep: 0.1})
+    two["workloads"].append(dict(two["workloads"][0], name="transient2d"))
+    worse = json.loads(json.dumps(two))
+    worse["workloads"][1]["phases"][1]["seconds"] = 0.3
+    r = run_diff(two, worse, "--fail-over=150",
+                 "--fail-phase=pipeline.repartition")
+    failures += check(
+        "FAIL line names the workload and phase path of the worst value",
+        r.returncode == 1 and
+        f"in workload 'transient2d' at '{deep}'" in r.stdout,
+        r.stdout + r.stderr)
+
     r = run_diff(base, base, "--fail-over=150", "--fail-phase=kl.refine")
     failures += check("steady phase passes", r.returncode == 0,
                       r.stdout + r.stderr)

@@ -8,26 +8,79 @@
 
 namespace pnr::mesh {
 
+namespace {
+
+/// Counts each vertex once, when a second subset touches it.
+class SharedCounter {
+ public:
+  explicit SharedCounter(std::size_t vertex_slots)
+      : first_part_(vertex_slots, -2), shared_(vertex_slots, false) {}
+
+  void touch(VertIdx v, part::PartId part) {
+    const auto sv = static_cast<std::size_t>(v);
+    if (first_part_[sv] == -2) {
+      first_part_[sv] = part;
+    } else if (first_part_[sv] != part && !shared_[sv]) {
+      shared_[sv] = true;
+      ++count_;
+    }
+  }
+  bool shared(VertIdx v) const {
+    return shared_[static_cast<std::size_t>(v)];
+  }
+  std::int64_t count() const { return count_; }
+
+ private:
+  std::vector<part::PartId> first_part_;  ///< -2 while untouched
+  std::vector<char> shared_;
+  std::int64_t count_ = 0;
+};
+
+}  // namespace
+
 template <typename Mesh>
 std::int64_t shared_vertices(const Mesh& mesh,
                              const std::vector<ElemIdx>& elems,
                              std::span<const part::PartId> assign) {
   PNR_REQUIRE(assign.size() == elems.size());
-  // first_part[v]: the first subset seen touching v (-2 while untouched).
-  std::vector<part::PartId> first_part(mesh.vertex_slots(), -2);
-  std::vector<char> shared(mesh.vertex_slots(), false);
-  std::int64_t count = 0;
+  SharedCounter counter(mesh.vertex_slots());
   for (std::size_t i = 0; i < elems.size(); ++i)
-    for (const VertIdx v : mesh.element(elems[i]).v) {
-      const auto sv = static_cast<std::size_t>(v);
-      if (first_part[sv] == -2) {
-        first_part[sv] = assign[i];
-      } else if (first_part[sv] != assign[i] && !shared[sv]) {
-        shared[sv] = true;
-        ++count;
+    for (const VertIdx v : mesh.element(elems[i]).v) counter.touch(v, assign[i]);
+  return counter.count();
+}
+
+template <typename Mesh>
+std::int64_t whole_tree_shared_vertices(
+    const Mesh& mesh, std::span<const part::PartId> coarse_assign) {
+  const ElemIdx n0 = mesh.num_initial_elements();
+  PNR_REQUIRE(coarse_assign.size() == static_cast<std::size_t>(n0));
+  // Every corner of a root is a vertex of one of its leaves, so the root
+  // pass sees exactly the subsets that touch each M^0 vertex, and the leaf
+  // walk below only adds inner vertices.
+  SharedCounter counter(mesh.vertex_slots());
+  for (ElemIdx r = 0; r < n0; ++r)
+    for (const VertIdx v : mesh.element(r).v)
+      counter.touch(v, coarse_assign[static_cast<std::size_t>(r)]);
+  std::vector<ElemIdx> stack;
+  for (ElemIdx r = 0; r < n0; ++r) {
+    const auto& corners = mesh.element(r).v;
+    if (std::none_of(corners.begin(), corners.end(),
+                     [&](VertIdx v) { return counter.shared(v); }))
+      continue;
+    const part::PartId part = coarse_assign[static_cast<std::size_t>(r)];
+    stack.assign(1, r);
+    while (!stack.empty()) {
+      const auto& t = mesh.element(stack.back());
+      stack.pop_back();
+      if (!t.leaf) {
+        stack.push_back(t.child[0]);
+        stack.push_back(t.child[1]);
+        continue;
       }
+      for (const VertIdx v : t.v) counter.touch(v, part);
     }
-  return count;
+  }
+  return counter.count();
 }
 
 template std::int64_t shared_vertices(const TriMesh&,
@@ -36,6 +89,10 @@ template std::int64_t shared_vertices(const TriMesh&,
 template std::int64_t shared_vertices(const TetMesh&,
                                       const std::vector<ElemIdx>&,
                                       std::span<const part::PartId>);
+template std::int64_t whole_tree_shared_vertices(
+    const TriMesh&, std::span<const part::PartId>);
+template std::int64_t whole_tree_shared_vertices(
+    const TetMesh&, std::span<const part::PartId>);
 
 std::vector<std::int32_t> adjacent_subdomains(
     const graph::Graph& fine_dual, std::span<const part::PartId> assign,

@@ -21,6 +21,16 @@ std::int64_t shared_vertices(const Mesh& mesh,
                              const std::vector<ElemIdx>& elems,
                              std::span<const part::PartId> assign);
 
+/// shared_vertices for an assignment that gives every refinement tree whole
+/// to `coarse_assign[root]`: the same count, walking only the trees that
+/// meet a differently assigned tree. A vertex touched by two subsets lies in
+/// the simplex of M^0 that their roots share, whose corners are then M^0
+/// vertices touched by both; so one pass over the roots settles every M^0
+/// vertex, and only the trees with a shared corner are walked leaf by leaf.
+template <typename Mesh>
+std::int64_t whole_tree_shared_vertices(
+    const Mesh& mesh, std::span<const part::PartId> coarse_assign);
+
 /// Number of distinct subsets adjacent to each subset (the paper notes that
 /// on high-latency networks the number of adjacent subdomains matters too).
 /// Returns per-part counts.

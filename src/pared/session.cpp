@@ -1,5 +1,8 @@
 #include "pared/session.hpp"
 
+#include <bit>
+#include <string>
+
 #include "check/check.hpp"
 #include "exec/pool.hpp"
 #include "util/assert.hpp"
@@ -52,11 +55,59 @@ void adopt(auto& mesh, const std::vector<mesh::ElemIdx>& elems,
     mesh.set_tag(elems[i], assign[i]);
 }
 
+/// Entries where `a` and `b` differ, each counted by its vertex weight in
+/// `g` when one is given (a coarse vertex stands for its tree's leaves).
 std::int64_t count_moves(const std::vector<part::PartId>& a,
-                         const std::vector<part::PartId>& b) {
+                         const std::vector<part::PartId>& b,
+                         const graph::Graph* g = nullptr) {
   std::int64_t moves = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) moves += a[i] != b[i];
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i] != b[i])
+      moves += g ? g->vertex_weight(static_cast<graph::VertexId>(i)) : 1;
   return moves;
+}
+
+/// Π^{t-1} per root of M^0 from the leaf tags; nullopt when some leaf is
+/// untagged (first step) or some tree's leaves disagree (tags written by a
+/// fine-graph strategy).
+std::optional<std::vector<part::PartId>> whole_tree_tags(
+    const auto& mesh, const std::vector<mesh::ElemIdx>& elems) {
+  std::vector<part::PartId> out(
+      static_cast<std::size_t>(mesh.num_initial_elements()), -1);
+  for (const mesh::ElemIdx e : elems) {
+    const auto& t = mesh.element(e);
+    if (t.tag < 0) return std::nullopt;
+    auto& root = out[static_cast<std::size_t>(t.coarse)];
+    if (root < 0)
+      root = t.tag;
+    else if (root != t.tag)
+      return std::nullopt;
+  }
+  return out;
+}
+
+/// The first field where two reports differ ("" when they agree, with the
+/// imbalance compared bitwise).
+std::string report_difference(const StepReport& got, const StepReport& want) {
+  const auto field = [](const char* name, auto a, auto b) {
+    return std::string(name) + " " + std::to_string(a) + " != fine " +
+           std::to_string(b);
+  };
+  if (got.cut_prev != want.cut_prev)
+    return field("cut_prev", got.cut_prev, want.cut_prev);
+  if (got.cut_new != want.cut_new)
+    return field("cut_new", got.cut_new, want.cut_new);
+  if (got.shared_vertices != want.shared_vertices)
+    return field("shared_vertices", got.shared_vertices, want.shared_vertices);
+  if (got.migrated != want.migrated)
+    return field("migrated", got.migrated, want.migrated);
+  if (got.migrated_remapped != want.migrated_remapped)
+    return field("migrated_remapped", got.migrated_remapped,
+                 want.migrated_remapped);
+  if (std::bit_cast<std::uint64_t>(got.imbalance) !=
+      std::bit_cast<std::uint64_t>(want.imbalance))
+    return field("imbalance", got.imbalance, want.imbalance);
+  return "";
 }
 
 }  // namespace
@@ -116,8 +167,8 @@ StepReport Session<Mesh>::step(Mesh& mesh) {
   const auto elems = mesh.leaf_elements();
   report.elements = static_cast<std::int64_t>(elems.size());
 
-  // Built on first use: PNR partitions the persistent coarse graph, so with
-  // deferred metrics its steady-state step never touches the fine dual.
+  // Built on first use: PNR partitions the persistent coarse graph and reads
+  // its metrics off it too, so its step never touches the fine dual.
   std::optional<mesh::FineDual> dual;
   const auto ensure_dual = [&]() -> const mesh::FineDual& {
     if (!dual) {
@@ -127,14 +178,14 @@ StepReport Session<Mesh>::step(Mesh& mesh) {
     return *dual;
   };
 
-  auto carried = carried_assignment(mesh, elems);
-  if (carried && !defer_metrics_) {
-    part::Partition prev(p_, *carried);
-    report.cut_prev = part::cut_size(ensure_dual().graph, prev);
-  }
-
-  std::vector<part::PartId> fine_new;  // the freshly computed partition Π̂
-  std::vector<part::PartId> adopted;   // what the session carries forward
+  // Π^{t-1} from the tags: PNR reads it per root of M^0 when every tree
+  // carries one tag, everything else per leaf.
+  std::optional<std::vector<part::PartId>> carried_roots;
+  if (strategy_ == Strategy::kPNR)
+    carried_roots = whole_tree_tags(mesh, elems);
+  std::optional<std::vector<part::PartId>> carried;
+  if (!carried_roots) carried = carried_assignment(mesh, elems);
+  std::vector<part::PartId> adopted;  // what the session carries forward
 
   // Closed by hand before the metrics tail so the span measures only the
   // strategy's partitioning work.
@@ -148,7 +199,6 @@ StepReport Session<Mesh>::step(Mesh& mesh) {
           (strategy_ == Strategy::kRSB || strategy_ == Strategy::kRsbRemap)
               ? part::rsb(ensure_dual().graph, p_, rng_)
               : part::multilevel_kl(ensure_dual().graph, p_, rng_);
-      fine_new = pi.assign;
       if (carried) {
         part::Partition prev(p_, *carried);
         const auto remapped =
@@ -177,7 +227,6 @@ StepReport Session<Mesh>::step(Mesh& mesh) {
         report.migrated = count_moves(*carried, pi.assign);
         report.migrated_remapped = report.migrated;  // already incremental
       }
-      fine_new = pi.assign;
       adopted = pi.assign;
       break;
     }
@@ -202,42 +251,31 @@ StepReport Session<Mesh>::step(Mesh& mesh) {
       in.rng = &rng_;
       coarse_assign_ = planner.run(in, nullptr).assign;
       adopted = mesh::project_coarse_assignment(mesh, elems, coarse_assign_);
-      fine_new = adopted;
-      if (carried) {
+      if (carried_roots)
+        report.migrated =
+            count_moves(*carried_roots, coarse_assign_, &coarse_graph_);
+      else if (carried)
         report.migrated = count_moves(*carried, adopted);
-        if (!defer_metrics_) {
-          // The optimal relabeling is the identity for PNR (Figure 5):
-          // moves are already minimal, but we report it for completeness.
-          part::Partition prev(p_, *carried);
-          part::Partition next(p_, adopted);
-          const auto remapped =
-              part::remap_to_minimize_migration(ensure_dual().graph, prev,
-                                                next);
-          report.migrated_remapped = count_moves(*carried, remapped.assign);
-        }
-      }
       break;
     }
   }
-
   partition_span.reset();
 
-  if (!defer_metrics_) {
-    PNR_PROF_SPAN("session.metrics");
-    part::Partition adopted_pi(p_, adopted);
-    report.cut_new =
-        part::cut_size(ensure_dual().graph, part::Partition(p_, fine_new));
-    report.imbalance = part::imbalance(ensure_dual().graph, adopted_pi);
-    report.shared_vertices = mesh::shared_vertices(mesh, elems, adopted);
+  if constexpr (check::kLevel >= 2) {
+    if (carried_roots) audit_carried_ = *carried_assignment(mesh, elems);
   }
   adopt(mesh, elems, adopted);
   first_ = false;
   last_report_ = report;
-  last_had_carried_ = carried.has_value();
-  last_carried_ = carried ? std::move(*carried) : std::vector<part::PartId>{};
-  last_deferred_ = defer_metrics_;
+  last_coarse_ = strategy_ == Strategy::kPNR && !carried;
+  last_had_carried_ = carried_roots || carried;
+  last_carried_ = carried_roots ? std::move(*carried_roots)
+                  : carried     ? std::move(*carried)
+                                : std::vector<part::PartId>{};
+  last_deferred_ = true;
   last_adapt_version_ = mesh.adapt_version();
   have_last_ = true;
+  if (!defer_metrics_) settle_metrics(mesh, dual ? &*dual : nullptr);
   // Level-2 phase-boundary audit: the session is the one place that holds
   // every structure at once, so the full cross-structure contract (mesh ↔
   // refinement forest ↔ dual graph ↔ adopted partition) is checked here.
@@ -268,7 +306,7 @@ StepReport Session<Mesh>::step(Mesh& mesh) {
       check::enforce_empty(violation, "session.step exec cross-check");
     }
   }
-  return report;
+  return last_report_;
 }
 
 template <typename Mesh>
@@ -277,33 +315,78 @@ StepReport Session<Mesh>::metrics(const Mesh& mesh) {
   PNR_REQUIRE_MSG(mesh.adapt_version() == last_adapt_version_,
                   "mesh adapted since the last step; deferred metrics are "
                   "unrecoverable");
-  if (!last_deferred_) return last_report_;
+  if (last_deferred_) settle_metrics(mesh, nullptr);
+  return last_report_;
+}
+
+template <typename Mesh>
+void Session<Mesh>::settle_metrics(const Mesh& mesh,
+                                   const mesh::FineDual* dual) {
   PNR_PROF_SPAN("session.metrics");
-  const auto elems = mesh.leaf_elements();
-  const auto dual = mesh::fine_dual_graph(mesh);
-  // Everything deferred is recomputable from the adopted tags: adoption
-  // only ever relabels the freshly computed Π̂, and cut, imbalance and
-  // shared vertices are invariant under subset relabeling.
-  std::vector<part::PartId> adopted(elems.size());
-  for (std::size_t i = 0; i < elems.size(); ++i)
-    adopted[i] = mesh.tag(elems[i]);
+  StepReport& report = last_report_;
+  if (last_coarse_) {
+    // Every tree is assigned whole, so each fine quantity is the same sum
+    // over G: vertex weights count a tree's leaves, edge weights the
+    // adjacent leaf pairs across a coarse face. The overlap matrix of the
+    // remap is the fine one too, so the relabeling is the same. (It is the
+    // identity for PNR, Figure 5: moves are already minimal, but we report
+    // it for completeness.)
+    const part::Partition next(p_, coarse_assign_);
+    if (last_had_carried_) {
+      const part::Partition prev(p_, last_carried_);
+      report.cut_prev = part::cut_size(coarse_graph_, prev);
+      const auto remapped =
+          part::remap_to_minimize_migration(coarse_graph_, prev, next);
+      report.migrated_remapped =
+          count_moves(last_carried_, remapped.assign, &coarse_graph_);
+    }
+    report.cut_new = part::cut_size(coarse_graph_, next);
+    report.imbalance = part::imbalance(coarse_graph_, next);
+    report.shared_vertices =
+        mesh::whole_tree_shared_vertices(mesh, coarse_assign_);
+  } else {
+    std::optional<mesh::FineDual> built;
+    if (!dual) dual = &built.emplace(mesh::fine_dual_graph(mesh));
+    fine_metrics(mesh, *dual, last_carried_, report);
+  }
+  last_deferred_ = false;  // cached: later reads return it directly
+  // Level-2 audit of the coarse path: every field recomputed the old way,
+  // from the fine dual graph and every leaf.
+  if constexpr (check::kLevel >= 2) {
+    if (last_coarse_) {
+      const auto fine = mesh::fine_dual_graph(mesh);
+      StepReport expect = report;
+      fine_metrics(mesh, fine, audit_carried_, expect);
+      check::enforce_empty(report_difference(report, expect),
+                           "session.metrics coarse/fine audit");
+    }
+  }
+}
+
+template <typename Mesh>
+void Session<Mesh>::fine_metrics(const Mesh& mesh, const mesh::FineDual& dual,
+                                 const std::vector<part::PartId>& carried,
+                                 StepReport& report) const {
+  // Everything here is recomputable from the adopted tags: adoption only
+  // ever relabels the freshly computed Π̂, and cut, imbalance and shared
+  // vertices are invariant under subset relabeling.
+  std::vector<part::PartId> adopted(dual.elems.size());
+  for (std::size_t i = 0; i < adopted.size(); ++i)
+    adopted[i] = mesh.tag(dual.elems[i]);
   part::Partition adopted_pi(p_, adopted);
-  StepReport report = last_report_;
   if (last_had_carried_) {
-    part::Partition prev(p_, last_carried_);
+    part::Partition prev(p_, carried);
     report.cut_prev = part::cut_size(dual.graph, prev);
     if (strategy_ == Strategy::kPNR) {
       const auto remapped =
           part::remap_to_minimize_migration(dual.graph, prev, adopted_pi);
-      report.migrated_remapped = count_moves(last_carried_, remapped.assign);
+      report.migrated = count_moves(carried, adopted);
+      report.migrated_remapped = count_moves(carried, remapped.assign);
     }
   }
   report.cut_new = part::cut_size(dual.graph, adopted_pi);
   report.imbalance = part::imbalance(dual.graph, adopted_pi);
-  report.shared_vertices = mesh::shared_vertices(mesh, elems, adopted);
-  last_report_ = report;
-  last_deferred_ = false;  // cached: later calls return it directly
-  return report;
+  report.shared_vertices = mesh::shared_vertices(mesh, dual.elems, adopted);
 }
 
 template class Session<mesh::TriMesh>;

@@ -79,12 +79,14 @@ class Session {
   /// the element tags for the next step) and report the step's measures.
   StepReport step(Mesh& mesh);
 
-  /// Defer the fine-dual metrics tail of step(): with deferral on, step()
-  /// fills only `elements` and `migrated` (plus whatever the strategy
-  /// computes anyway) and leaves cut/imbalance/shared-vertices at zero until
-  /// metrics() asks for them. For PNR this removes the fine dual-graph build
-  /// from the steady-state step entirely — the strategy itself only touches
-  /// the persistent coarse graph.
+  /// Defer the metrics tail of step(): with deferral on, step() fills only
+  /// `elements` and `migrated` (plus whatever the strategy computes anyway)
+  /// and leaves cut/imbalance/shared-vertices at zero until metrics() asks
+  /// for them. The fine-graph strategies compute the tail on the fine dual
+  /// graph. PNR assigns every tree whole, so it reads the tail off the
+  /// persistent coarse graph, eager or deferred, and never builds the fine
+  /// dual; only a mesh whose trees carry mixed tags (tagged by another
+  /// strategy) falls back to the fine dual for that step.
   void set_defer_metrics(bool defer) { defer_metrics_ = defer; }
   bool defer_metrics() const { return defer_metrics_; }
 
@@ -119,6 +121,17 @@ class Session {
   /// after a drain-epoch gap.
   void refresh_coarse_graph(Mesh& mesh);
 
+  /// Fill last_report_'s deferred fields for the adopted tags: off the
+  /// coarse graph when last_coarse_, else on `dual` (built if null).
+  void settle_metrics(const Mesh& mesh, const mesh::FineDual* dual);
+
+  /// The deferred fields (and PNR's `migrated`) recomputed on the fine dual
+  /// graph from the leaf tags, with `carried` the fine Π^{t-1} in dense leaf
+  /// order.
+  void fine_metrics(const Mesh& mesh, const mesh::FineDual& dual,
+                    const std::vector<part::PartId>& carried,
+                    StepReport& report) const;
+
   Strategy strategy_;
   part::PartId p_;
   util::Rng rng_;
@@ -139,7 +152,13 @@ class Session {
   bool coarse_coords_valid_ = false;
   /// Deferred-metrics state for metrics().
   StepReport last_report_;
+  /// Π^{t-1}: per root of M^0 when last_coarse_, else per leaf.
   std::vector<part::PartId> last_carried_;
+  /// The last step's metrics come off coarse_graph_ (PNR, unless some
+  /// tree's leaves carried mixed tags).
+  bool last_coarse_ = false;
+  /// Level-2 builds only: the fine Π^{t-1}, for the coarse-path audit.
+  std::vector<part::PartId> audit_carried_;
   bool last_had_carried_ = false;
   bool last_deferred_ = false;
   bool have_last_ = false;

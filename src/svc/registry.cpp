@@ -141,9 +141,10 @@ std::int64_t count_roots(const Mesh& mesh) {
   return roots;
 }
 
-/// Registry sessions defer the fine-dual metrics tail of step(): the step
-/// reply carries the cheap fields (elements, migrated), and kOpGetMetrics
-/// computes the rest on demand. get_metrics is not logged, so deferral is
+/// Registry sessions defer the metrics tail of step(): the step reply
+/// carries the cheap fields (elements, migrated), and kOpGetMetrics computes
+/// the rest on demand (off the coarse graph for PNR, on the fine dual for
+/// the fine-graph strategies). get_metrics is not logged, so deferral is
 /// replay-neutral for checkpoints.
 template <typename S>
 S deferred(S session) {
