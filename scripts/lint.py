@@ -23,10 +23,10 @@ conventions the compiler cannot enforce:
                    ::send, <sys/socket.h>, ...) outside src/svc/: all wire
                    I/O flows through svc::Server / svc::Client so framing,
                    limits and error handling stay in one audited place
-  mesh-dispatch    no is_same_v<..., TriMesh|TetMesh> outside
-                   src/mesh/{tri,tet}_mesh.*: code written once for both
-                   meshes branches on Mesh::kDim, the shared vocabulary of
-                   mesh/simplex.hpp
+  mesh-dispatch    no is_same_v<..., TriMesh|TetMesh|SimplexMesh<D>>
+                   anywhere: code written once for both dimensions
+                   branches on Mesh::kDim, the vocabulary of
+                   mesh/simplex_mesh.hpp
 
 Exit status is the number of violating files (0 = clean). Pass file paths to
 lint a subset; default lints the whole tree.
@@ -70,12 +70,12 @@ RAW_SOCKET = re.compile(
     r'|(?<![A-Za-z0-9_])::(?:socket|socketpair|bind|listen|accept|connect|'
     r'poll|recv|recvmsg|send|sendmsg|fcntl)\s*\()')
 RAW_SOCKET_ALLOWED = ("src/svc/",)
-# A type test against a concrete mesh class (std::is_same / is_same_v /
-# std::same_as naming TriMesh or TetMesh).
+# A type test against a concrete mesh type (std::is_same / is_same_v /
+# std::same_as naming TriMesh, TetMesh or SimplexMesh). The mesh itself
+# needs none either, so no file is exempt.
 MESH_DISPATCH = re.compile(
     r'(?<![A-Za-z0-9_])(?:is_same(?:_v)?|same_as)\s*<[^;]*'
-    r'(?<![A-Za-z0-9_])(?:TriMesh|TetMesh)\b')
-MESH_DISPATCH_ALLOWED = ("src/mesh/tri_mesh.", "src/mesh/tet_mesh.")
+    r'(?<![A-Za-z0-9_])(?:TriMesh|TetMesh|SimplexMesh)\b')
 
 
 def strip_comments_and_strings(line: str, in_block: bool) -> tuple[str, bool]:
@@ -177,12 +177,11 @@ def lint_file(path: pathlib.Path) -> list[str]:
                 "reserved for src/svc/; go through svc::Server and "
                 "svc::Client (or the loopback helpers) instead")
 
-        if (MESH_DISPATCH.search(code)
-                and not str(rel).startswith(MESH_DISPATCH_ALLOWED)):
+        if MESH_DISPATCH.search(code):
             problems.append(
-                f"{rel}:{lineno}: mesh-dispatch: do not test for TriMesh/"
-                "TetMesh by type; branch on Mesh::kDim so the code stays "
-                "written once for both meshes")
+                f"{rel}:{lineno}: mesh-dispatch: do not test for a mesh "
+                "type (TriMesh/TetMesh/SimplexMesh); branch on Mesh::kDim "
+                "so the code stays written once for both dimensions")
 
         # Prof names live inside string literals, so match the raw line.
         for m in PROF_USE.finditer(raw):

@@ -54,6 +54,10 @@ CASES = [
      'template <typename M> int f() {\n'
      '  if constexpr (std::is_same_v<M, mesh::TetMesh>) return 3;\n'
      '  return 2;\n}\n', "mesh-dispatch"),
+    ("is_same_v against a SimplexMesh instantiation fires", "t.cpp",
+     'template <typename M> int f() {\n'
+     '  if constexpr (std::is_same_v<M, mesh::SimplexMesh<2>>) return 2;\n'
+     '  return 3;\n}\n', "mesh-dispatch"),
     ("branching on Mesh::kDim is clean", "s.cpp",
      'template <typename M> int f() {\n'
      '  if constexpr (M::kDim == 3) return 3;\n'

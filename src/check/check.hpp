@@ -25,7 +25,7 @@
 #include "check/level.hpp"
 #include "check/report.hpp"
 #include "graph/csr.hpp"
-#include "mesh/simplex.hpp"
+#include "mesh/simplex_mesh.hpp"
 #include "partition/conn.hpp"
 #include "partition/pairqueue.hpp"
 #include "partition/partition.hpp"

@@ -16,7 +16,7 @@
 //
 // so a subtree of n nodes packs into 8 + n·(4 + 4V + 2 + 1 + 8VD) bytes
 // (V = Mesh::kVertsPerElem, D = Mesh::kDim). Every function here is written
-// once against the shared mesh vocabulary of mesh/simplex.hpp and
+// once against the shared mesh vocabulary of mesh/simplex_mesh.hpp and
 // instantiated for TriMesh and TetMesh.
 //
 // Unlike the simulator's aborting validator, verify_subtree answers a trust
@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "mesh/simplex.hpp"
+#include "mesh/simplex_mesh.hpp"
 #include "partition/partition.hpp"
 
 namespace pnr::fed {

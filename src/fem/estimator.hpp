@@ -7,8 +7,7 @@
 #include <vector>
 
 #include "fem/problems.hpp"
-#include "mesh/tet_mesh.hpp"
-#include "mesh/tri_mesh.hpp"
+#include "mesh/simplex_mesh.hpp"
 
 namespace pnr::fem {
 

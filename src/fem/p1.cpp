@@ -38,7 +38,7 @@ P1System assemble_poisson(const mesh::TriMesh& mesh,
     const auto& t = mesh.element(e);
     const mesh::Point2 p[3] = {mesh.vertex(t.v[0]), mesh.vertex(t.v[1]),
                                mesh.vertex(t.v[2])};
-    const double area = mesh.signed_area(e);
+    const double area = mesh.signed_measure(e);
     PNR_ASSERT(area > 0.0);
     // Gradient coefficients: b_i = y_{i+1} − y_{i+2}, c_i = x_{i+2} − x_{i+1}.
     double b[3], c[3];
@@ -99,7 +99,7 @@ P1System assemble_poisson(const mesh::TetMesh& mesh,
     const auto& t = mesh.element(e);
     const mesh::Point3 p[4] = {mesh.vertex(t.v[0]), mesh.vertex(t.v[1]),
                                mesh.vertex(t.v[2]), mesh.vertex(t.v[3])};
-    const double vol = mesh.signed_volume(e);
+    const double vol = mesh.signed_measure(e);
     PNR_ASSERT(vol > 0.0);
 
     // Barycentric gradients: rows of the inverse of M = [p1−p0 p2−p0 p3−p0].

@@ -9,8 +9,7 @@
 #include "fem/cg.hpp"
 #include "fem/problems.hpp"
 #include "fem/sparse.hpp"
-#include "mesh/tet_mesh.hpp"
-#include "mesh/tri_mesh.hpp"
+#include "mesh/simplex_mesh.hpp"
 
 namespace pnr::fem {
 

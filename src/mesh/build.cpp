@@ -1,5 +1,7 @@
 #include "mesh/build.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <unordered_map>
@@ -26,69 +28,22 @@ bool indices_ok(std::span<const VertIdx> elems, std::int64_t n) {
 
 }  // namespace
 
-std::optional<TriMesh> try_build_tri_mesh(std::span<const double> coords,
-                                          std::span<const VertIdx> elems,
-                                          std::string* why) {
-  if (coords.empty() || coords.size() % 2 || elems.empty() ||
-      elems.size() % 3) {
-    fail(why, "mesh arrays have the wrong shape for 2D");
+template <typename Mesh>
+std::optional<Mesh> try_build_mesh(std::span<const double> coords,
+                                   std::span<const VertIdx> elems,
+                                   std::string* why) {
+  constexpr std::size_t dim = Mesh::kDim;
+  constexpr std::size_t per = Mesh::kVertsPerElem;
+  constexpr bool is_2d = dim == 2;
+  if (coords.empty() || coords.size() % dim || elems.empty() ||
+      elems.size() % per) {
+    fail(why, is_2d ? "mesh arrays have the wrong shape for 2D"
+                    : "mesh arrays have the wrong shape for 3D");
     return std::nullopt;
   }
-  const auto n = static_cast<std::int64_t>(coords.size()) / 2;
-  const std::size_t count = elems.size() / 3;
-  if (!coords_ok(coords) || !indices_ok(elems, n)) {
-    fail(why, "coordinates or element indices out of range");
-    return std::nullopt;
-  }
-  // Pre-validate what TriMesh::finalize PNR_REQUIREs. Orientation does not
-  // matter (finalize flips negative triangles); zero area does.
-  std::unordered_map<std::uint64_t, int> edge_count;
-  edge_count.reserve(count * 3);
-  for (std::size_t e = 0; e < count; ++e) {
-    const VertIdx a = elems[e * 3], b = elems[e * 3 + 1],
-                  c = elems[e * 3 + 2];
-    if (a == b || b == c || a == c) {
-      fail(why, "repeated corner in a triangle");
-      return std::nullopt;
-    }
-    const double ax = coords[static_cast<std::size_t>(a) * 2];
-    const double ay = coords[static_cast<std::size_t>(a) * 2 + 1];
-    const double bx = coords[static_cast<std::size_t>(b) * 2];
-    const double by = coords[static_cast<std::size_t>(b) * 2 + 1];
-    const double cx = coords[static_cast<std::size_t>(c) * 2];
-    const double cy = coords[static_cast<std::size_t>(c) * 2 + 1];
-    const double area = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay);
-    if (!(area != 0.0)) {
-      fail(why, "degenerate (zero-area) triangle");
-      return std::nullopt;
-    }
-    for (const auto& [u, v] : {std::pair{a, b}, {b, c}, {c, a}})
-      if (++edge_count[edge_key(u, v)] > 2) {
-        fail(why, "non-manifold edge (more than two triangles)");
-        return std::nullopt;
-      }
-  }
-  TriMesh mesh;
-  for (std::int64_t v = 0; v < n; ++v)
-    mesh.add_vertex(coords[static_cast<std::size_t>(v) * 2],
-                    coords[static_cast<std::size_t>(v) * 2 + 1]);
-  for (std::size_t e = 0; e < count; ++e)
-    mesh.add_triangle(elems[e * 3], elems[e * 3 + 1], elems[e * 3 + 2]);
-  mesh.finalize();
-  return mesh;
-}
-
-std::optional<TetMesh> try_build_tet_mesh(std::span<const double> coords,
-                                          std::span<const VertIdx> elems,
-                                          std::string* why) {
-  if (coords.empty() || coords.size() % 3 || elems.empty() ||
-      elems.size() % 4) {
-    fail(why, "mesh arrays have the wrong shape for 3D");
-    return std::nullopt;
-  }
-  const auto n = static_cast<std::int64_t>(coords.size()) / 3;
-  const std::size_t count = elems.size() / 4;
-  if (n >= (1 << 21)) {
+  const auto n = static_cast<std::int64_t>(coords.size() / dim);
+  const std::size_t count = elems.size() / per;
+  if (!is_2d && n >= (1 << 21)) {
     fail(why, "3D meshes are limited to 2^21 vertices");
     return std::nullopt;
   }
@@ -96,54 +51,78 @@ std::optional<TetMesh> try_build_tet_mesh(std::span<const double> coords,
     fail(why, "coordinates or element indices out of range");
     return std::nullopt;
   }
-  std::unordered_map<std::uint64_t, int> face_count;
-  face_count.reserve(count * 4);
-  const auto coord = [&](VertIdx v, int d) {
-    return coords[static_cast<std::size_t>(v) * 3 + static_cast<std::size_t>(d)];
+  // Pre-validate what SimplexMesh::add_element and finalize PNR_REQUIRE.
+  // Orientation does not matter (finalize flips negative elements); zero
+  // measure does.
+  const auto coord = [&](VertIdx v, std::size_t d) {
+    return coords[static_cast<std::size_t>(v) * dim + d];
   };
+  std::unordered_map<std::uint64_t, int> facet_count;
+  facet_count.reserve(count * per);
   for (std::size_t e = 0; e < count; ++e) {
-    const VertIdx v[4] = {elems[e * 4], elems[e * 4 + 1], elems[e * 4 + 2],
-                          elems[e * 4 + 3]};
-    for (int i = 0; i < 4; ++i)
-      for (int j = i + 1; j < 4; ++j)
+    const auto v = elems.subspan(e * per, per);
+    for (std::size_t i = 0; i < per; ++i)
+      for (std::size_t j = i + 1; j < per; ++j)
         if (v[i] == v[j]) {
-          fail(why, "repeated corner in a tetrahedron");
+          fail(why, is_2d ? "repeated corner in a triangle"
+                          : "repeated corner in a tetrahedron");
           return std::nullopt;
         }
-    const double d1[3] = {coord(v[1], 0) - coord(v[0], 0),
-                          coord(v[1], 1) - coord(v[0], 1),
-                          coord(v[1], 2) - coord(v[0], 2)};
-    const double d2[3] = {coord(v[2], 0) - coord(v[0], 0),
-                          coord(v[2], 1) - coord(v[0], 1),
-                          coord(v[2], 2) - coord(v[0], 2)};
-    const double d3[3] = {coord(v[3], 0) - coord(v[0], 0),
-                          coord(v[3], 1) - coord(v[0], 1),
-                          coord(v[3], 2) - coord(v[0], 2)};
-    const double vol = d1[0] * (d2[1] * d3[2] - d2[2] * d3[1]) -
-                       d1[1] * (d2[0] * d3[2] - d2[2] * d3[0]) +
-                       d1[2] * (d2[0] * d3[1] - d2[1] * d3[0]);
-    if (!(vol != 0.0) || !std::isfinite(vol)) {
-      fail(why, "degenerate (zero-volume) tetrahedron");
-      return std::nullopt;
-    }
-    for (const auto& [a, b, c] :
-         {std::tuple{v[0], v[1], v[2]}, {v[0], v[1], v[3]},
-          {v[0], v[2], v[3]}, {v[1], v[2], v[3]}})
-      if (++face_count[face_key(a, b, c)] > 2) {
-        fail(why, "non-manifold face (more than two tetrahedra)");
+    if constexpr (is_2d) {
+      const double ax = coord(v[0], 0), ay = coord(v[0], 1);
+      const double bx = coord(v[1], 0), by = coord(v[1], 1);
+      const double cx = coord(v[2], 0), cy = coord(v[2], 1);
+      const double area = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay);
+      if (!(area != 0.0)) {
+        fail(why, "degenerate (zero-area) triangle");
         return std::nullopt;
       }
+    } else {
+      double d[3][3];
+      for (std::size_t k = 0; k < 3; ++k)
+        for (std::size_t c = 0; c < 3; ++c)
+          d[k][c] = coord(v[k + 1], c) - coord(v[0], c);
+      const double vol = d[0][0] * (d[1][1] * d[2][2] - d[1][2] * d[2][1]) -
+                         d[0][1] * (d[1][0] * d[2][2] - d[1][2] * d[2][0]) +
+                         d[0][2] * (d[1][0] * d[2][1] - d[1][1] * d[2][0]);
+      if (!(vol != 0.0) || !std::isfinite(vol)) {
+        fail(why, "degenerate (zero-volume) tetrahedron");
+        return std::nullopt;
+      }
+    }
+    // Each facet omits one corner: an edge in 2D, a face in 3D.
+    for (std::size_t skip = 0; skip < per; ++skip) {
+      std::array<VertIdx, dim> f;
+      for (std::size_t i = 0, k = 0; i < per; ++i)
+        if (i != skip) f[k++] = v[i];
+      if (++facet_count[simplex_key(f)] > 2) {
+        fail(why, is_2d ? "non-manifold edge (more than two triangles)"
+                        : "non-manifold face (more than two tetrahedra)");
+        return std::nullopt;
+      }
+    }
   }
-  TetMesh mesh;
-  for (std::int64_t v = 0; v < n; ++v)
-    mesh.add_vertex(coord(static_cast<VertIdx>(v), 0),
-                    coord(static_cast<VertIdx>(v), 1),
-                    coord(static_cast<VertIdx>(v), 2));
-  for (std::size_t e = 0; e < count; ++e)
-    mesh.add_tet(elems[e * 4], elems[e * 4 + 1], elems[e * 4 + 2],
-                 elems[e * 4 + 3]);
+  Mesh mesh;
+  for (std::int64_t v = 0; v < n; ++v) {
+    std::array<double, dim> p;
+    for (std::size_t d = 0; d < dim; ++d) p[d] = coord(static_cast<VertIdx>(v), d);
+    mesh.add_vertex(to_point(p));
+  }
+  for (std::size_t e = 0; e < count; ++e) {
+    typename Mesh::Corners corners;
+    std::copy_n(elems.begin() + static_cast<std::ptrdiff_t>(e * per), per,
+                corners.begin());
+    mesh.add_element(corners);
+  }
   mesh.finalize();
   return mesh;
 }
+
+template std::optional<TriMesh> try_build_mesh(std::span<const double>,
+                                               std::span<const VertIdx>,
+                                               std::string*);
+template std::optional<TetMesh> try_build_mesh(std::span<const double>,
+                                               std::span<const VertIdx>,
+                                               std::string*);
 
 }  // namespace pnr::mesh

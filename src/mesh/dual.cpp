@@ -27,7 +27,7 @@ FineDual fine_dual_graph(const Mesh& mesh) {
   // assembler then turns into the CSR graph.
   std::vector<graph::WeightedEdge> edges;
   edges.reserve(static_cast<std::size_t>(num_leaves) * 3 / 2);
-  for_each_leaf_interface(mesh, [&](ElemIdx e1, ElemIdx e2) {
+  mesh.for_each_leaf_interface([&](ElemIdx e1, ElemIdx e2) {
     if (e1 == kNoElem || e2 == kNoElem) return;
     edges.push_back({out.dense[static_cast<std::size_t>(e1)],
                      out.dense[static_cast<std::size_t>(e2)], 1});

@@ -4,7 +4,7 @@
 // * fine dual graph: one vertex per *leaf* element, an edge when two leaves
 //   share an edge (2D) or face (3D); unit weights. This is what the RSB /
 //   Multilevel-KL baselines partition, exactly as the paper's Section 7 does.
-// Every reader is one template over the mesh type (mesh/simplex.hpp),
+// Every reader is one template over the mesh type (mesh/simplex_mesh.hpp),
 // instantiated for TriMesh and TetMesh.
 //
 // * nested (coarse) dual graph: one vertex per *initial* element Ω_a with
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "graph/csr.hpp"
-#include "mesh/simplex.hpp"
+#include "mesh/simplex_mesh.hpp"
 #include "partition/partition.hpp"
 
 namespace pnr::mesh {
@@ -36,7 +36,7 @@ template <typename Mesh>
 graph::Graph nested_dual_graph(const Mesh& mesh);
 
 /// The weight changes of G accumulated by a mesh between two drains of
-/// TriMesh/TetMesh::drain_dual_delta(). `vertices` lists, sorted and
+/// SimplexMesh::drain_dual_delta(). `vertices` lists, sorted and
 /// deduplicated, the initial elements whose refinement trees were touched by
 /// bisection or coarsening; only their leaf-count vertex weights and the
 /// edge weights of interfaces incident to them can have moved. G's topology

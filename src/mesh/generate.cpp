@@ -25,7 +25,7 @@ TriMesh structured_tri_mesh(int nx, int ny, double jitter, std::uint64_t seed) {
         x += rng.uniform(-jitter * hx / 2.0, jitter * hx / 2.0);
         y += rng.uniform(-jitter * hy / 2.0, jitter * hy / 2.0);
       }
-      mesh.add_vertex(x, y);
+      mesh.add_vertex({x, y});
     }
 
   auto vid = [&](int i, int j) {
@@ -37,11 +37,11 @@ TriMesh structured_tri_mesh(int nx, int ny, double jitter, std::uint64_t seed) {
       const VertIdx v01 = vid(i, j + 1), v11 = vid(i + 1, j + 1);
       // Alternate the diagonal by cell parity for isotropy.
       if ((i + j) % 2 == 0) {
-        mesh.add_triangle(v00, v10, v11);
-        mesh.add_triangle(v00, v11, v01);
+        mesh.add_element({v00, v10, v11});
+        mesh.add_element({v00, v11, v01});
       } else {
-        mesh.add_triangle(v00, v10, v01);
-        mesh.add_triangle(v10, v11, v01);
+        mesh.add_element({v00, v10, v01});
+        mesh.add_element({v10, v11, v01});
       }
     }
   mesh.finalize();
@@ -71,7 +71,7 @@ TetMesh structured_tet_mesh(int nx, int ny, int nz, double jitter,
           y += rng.uniform(-jitter * hy / 2.0, jitter * hy / 2.0);
           z += rng.uniform(-jitter * hz / 2.0, jitter * hz / 2.0);
         }
-        mesh.add_vertex(x, y, z);
+        mesh.add_vertex({x, y, z});
       }
 
   auto vid = [&](int i, int j, int k) {
@@ -92,7 +92,7 @@ TetMesh structured_tet_mesh(int nx, int ny, int nz, double jitter,
             ++at[static_cast<std::size_t>(perm[static_cast<std::size_t>(s)])];
             tv[static_cast<std::size_t>(s + 1)] = vid(at[0], at[1], at[2]);
           }
-          mesh.add_tet(tv[0], tv[1], tv[2], tv[3]);
+          mesh.add_element(tv);
         }
   mesh.finalize();
   return mesh;

@@ -9,8 +9,7 @@
 
 #include <cstdint>
 
-#include "mesh/tet_mesh.hpp"
-#include "mesh/tri_mesh.hpp"
+#include "mesh/simplex_mesh.hpp"
 
 namespace pnr::mesh {
 

@@ -149,6 +149,25 @@ std::optional<EleData> read_elements(const std::string& path,
   return data;
 }
 
+/// Read `basename`.node/.ele as a mesh of Mesh's dimension.
+template <typename Mesh>
+std::optional<Mesh> read_mesh_files(const std::string& basename) {
+  const auto nodes = read_nodes(basename + ".node");
+  if (!nodes || nodes->dim != Mesh::kDim) return std::nullopt;
+  const auto num_nodes =
+      static_cast<long long>(nodes->coords.size()) / nodes->dim;
+  const auto eles =
+      read_elements(basename + ".ele", nodes->first_index, num_nodes);
+  if (!eles || eles->nodes_per_elem != Mesh::kVertsPerElem) return std::nullopt;
+
+  // The validating builder rejects (instead of aborting on) degenerate,
+  // non-manifold, or non-finite geometry a hostile file can encode.
+  std::string why;
+  auto mesh = try_build_mesh<Mesh>(nodes->coords, eles->verts, &why);
+  if (!mesh) PNR_LOG_WARN << basename << ": rejected mesh: " << why;
+  return mesh;
+}
+
 }  // namespace
 
 template <typename Mesh>
@@ -235,35 +254,11 @@ template bool write_vtk(const TetMesh&, const std::vector<ElemIdx>&,
                         const std::vector<part::PartId>&, const std::string&);
 
 std::optional<TriMesh> read_triangle_files(const std::string& basename) {
-  const auto nodes = read_nodes(basename + ".node");
-  if (!nodes || nodes->dim != 2) return std::nullopt;
-  const auto num_nodes =
-      static_cast<long long>(nodes->coords.size()) / nodes->dim;
-  const auto eles =
-      read_elements(basename + ".ele", nodes->first_index, num_nodes);
-  if (!eles || eles->nodes_per_elem != 3) return std::nullopt;
-
-  // The validating builder rejects (instead of aborting on) degenerate,
-  // non-manifold, or non-finite geometry a hostile file can encode.
-  std::string why;
-  auto mesh = try_build_tri_mesh(nodes->coords, eles->verts, &why);
-  if (!mesh) PNR_LOG_WARN << basename << ": rejected mesh: " << why;
-  return mesh;
+  return read_mesh_files<TriMesh>(basename);
 }
 
 std::optional<TetMesh> read_tetgen_files(const std::string& basename) {
-  const auto nodes = read_nodes(basename + ".node");
-  if (!nodes || nodes->dim != 3) return std::nullopt;
-  const auto num_nodes =
-      static_cast<long long>(nodes->coords.size()) / nodes->dim;
-  const auto eles =
-      read_elements(basename + ".ele", nodes->first_index, num_nodes);
-  if (!eles || eles->nodes_per_elem != 4) return std::nullopt;
-
-  std::string why;
-  auto mesh = try_build_tet_mesh(nodes->coords, eles->verts, &why);
-  if (!mesh) PNR_LOG_WARN << basename << ": rejected mesh: " << why;
-  return mesh;
+  return read_mesh_files<TetMesh>(basename);
 }
 
 }  // namespace pnr::mesh

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "mesh/simplex.hpp"
+#include "mesh/simplex_mesh.hpp"
 #include "partition/partition.hpp"
 
 namespace pnr::mesh {

@@ -115,52 +115,43 @@ std::vector<std::int32_t> adjacent_subdomains(
   return counts;
 }
 
-MeshQuality mesh_quality(const TriMesh& mesh) {
+template <typename Mesh>
+MeshQuality mesh_quality(const Mesh& mesh) {
   MeshQuality q;
-  q.min_angle_deg = 180.0;
-  q.max_angle_deg = 0.0;
+  if constexpr (Mesh::kDim == 2) q.min_angle_deg = 180.0;
   bool first = true;
   for (const ElemIdx e : mesh.leaf_elements()) {
-    const auto& t = mesh.element(e);
-    const double area = mesh.signed_area(e);
+    const double measure = mesh.signed_measure(e);
     if (first) {
-      q.min_volume = q.max_volume = area;
+      q.min_volume = q.max_volume = measure;
       first = false;
     } else {
-      q.min_volume = std::min(q.min_volume, area);
-      q.max_volume = std::max(q.max_volume, area);
+      q.min_volume = std::min(q.min_volume, measure);
+      q.max_volume = std::max(q.max_volume, measure);
     }
-    for (int i = 0; i < 3; ++i) {
-      const Point2& a = mesh.vertex(t.v[static_cast<std::size_t>(i)]);
-      const Point2& b = mesh.vertex(t.v[static_cast<std::size_t>((i + 1) % 3)]);
-      const Point2& c = mesh.vertex(t.v[static_cast<std::size_t>((i + 2) % 3)]);
-      const double ux = b.x - a.x, uy = b.y - a.y;
-      const double vx = c.x - a.x, vy = c.y - a.y;
-      const double dot = ux * vx + uy * vy;
-      const double cross = ux * vy - uy * vx;
-      const double angle =
-          std::atan2(std::abs(cross), dot) * 180.0 / std::numbers::pi;
-      q.min_angle_deg = std::min(q.min_angle_deg, angle);
-      q.max_angle_deg = std::max(q.max_angle_deg, angle);
+    if constexpr (Mesh::kDim == 2) {
+      const auto& t = mesh.element(e);
+      for (int i = 0; i < 3; ++i) {
+        const Point2& a = mesh.vertex(t.v[static_cast<std::size_t>(i)]);
+        const Point2& b =
+            mesh.vertex(t.v[static_cast<std::size_t>((i + 1) % 3)]);
+        const Point2& c =
+            mesh.vertex(t.v[static_cast<std::size_t>((i + 2) % 3)]);
+        const double ux = b.x - a.x, uy = b.y - a.y;
+        const double vx = c.x - a.x, vy = c.y - a.y;
+        const double dot = ux * vx + uy * vy;
+        const double cross = ux * vy - uy * vx;
+        const double angle =
+            std::atan2(std::abs(cross), dot) * 180.0 / std::numbers::pi;
+        q.min_angle_deg = std::min(q.min_angle_deg, angle);
+        q.max_angle_deg = std::max(q.max_angle_deg, angle);
+      }
     }
   }
   return q;
 }
 
-MeshQuality mesh_quality(const TetMesh& mesh) {
-  MeshQuality q;
-  bool first = true;
-  for (const ElemIdx e : mesh.leaf_elements()) {
-    const double vol = mesh.signed_volume(e);
-    if (first) {
-      q.min_volume = q.max_volume = vol;
-      first = false;
-    } else {
-      q.min_volume = std::min(q.min_volume, vol);
-      q.max_volume = std::max(q.max_volume, vol);
-    }
-  }
-  return q;
-}
+template MeshQuality mesh_quality(const TriMesh&);
+template MeshQuality mesh_quality(const TetMesh&);
 
 }  // namespace pnr::mesh

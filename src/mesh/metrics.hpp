@@ -8,8 +8,7 @@
 #include <span>
 #include <vector>
 
-#include "mesh/tet_mesh.hpp"
-#include "mesh/tri_mesh.hpp"
+#include "mesh/simplex_mesh.hpp"
 #include "partition/partition.hpp"
 
 namespace pnr::mesh {
@@ -45,7 +44,9 @@ struct MeshQuality {
   double max_volume = 0.0;
 };
 
-MeshQuality mesh_quality(const TriMesh& mesh);
-MeshQuality mesh_quality(const TetMesh& mesh);  ///< angles left at 0
+/// Leaf measure range, and in 2D the leaf angle range (3D leaves the
+/// angles at 0).
+template <typename Mesh>
+MeshQuality mesh_quality(const Mesh& mesh);
 
 }  // namespace pnr::mesh

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "mesh/tri_mesh.hpp"
+#include "mesh/simplex_mesh.hpp"
 #include "partition/partition.hpp"
 
 namespace pnr::mesh {

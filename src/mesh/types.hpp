@@ -5,6 +5,7 @@
 // either side.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace pnr::mesh {
@@ -34,6 +35,14 @@ inline std::uint64_t face_key(VertIdx a, VertIdx b, VertIdx c) {
          static_cast<std::uint64_t>(v2);
 }
 
+/// edge_key of a vertex pair, face_key of a vertex triple.
+template <std::size_t K>
+std::uint64_t simplex_key(const std::array<VertIdx, K>& v) {
+  static_assert(K == 2 || K == 3);
+  if constexpr (K == 2) return edge_key(v[0], v[1]);
+  else return face_key(v[0], v[1], v[2]);
+}
+
 struct Point2 {
   double x = 0.0;
   double y = 0.0;
@@ -49,6 +58,12 @@ struct Point3 {
 inline std::array<double, 2> coords(const Point2& p) { return {p.x, p.y}; }
 inline std::array<double, 3> coords(const Point3& p) {
   return {p.x, p.y, p.z};
+}
+
+/// The point with coordinates `c`, the inverse of coords.
+inline Point2 to_point(const std::array<double, 2>& c) { return {c[0], c[1]}; }
+inline Point3 to_point(const std::array<double, 3>& c) {
+  return {c[0], c[1], c[2]};
 }
 
 }  // namespace pnr::mesh

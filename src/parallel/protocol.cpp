@@ -76,8 +76,7 @@ graph::Graph ParedRankT<Mesh>::assemble_coarse_graph(StepStats& stats) {
   std::vector<EdgeTriple> edges;
   {
     std::unordered_map<std::uint64_t, graph::Weight> acc;
-    mesh::for_each_leaf_interface(mesh_, [&](mesh::ElemIdx e1,
-                                             mesh::ElemIdx e2) {
+    mesh_.for_each_leaf_interface([&](mesh::ElemIdx e1, mesh::ElemIdx e2) {
       if (e1 == mesh::kNoElem || e2 == mesh::kNoElem) return;
       const mesh::ElemIdx c1 = mesh_.element(e1).coarse;
       const mesh::ElemIdx c2 = mesh_.element(e2).coarse;

@@ -24,7 +24,7 @@
 #include "core/pnr.hpp"
 #include "fem/estimator.hpp"
 #include "fem/problems.hpp"
-#include "mesh/simplex.hpp"
+#include "mesh/simplex_mesh.hpp"
 #include "parallel/comm.hpp"
 
 namespace pnr::par {

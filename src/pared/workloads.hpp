@@ -16,8 +16,7 @@
 
 #include "fem/estimator.hpp"
 #include "fem/problems.hpp"
-#include "mesh/tet_mesh.hpp"
-#include "mesh/tri_mesh.hpp"
+#include "mesh/simplex_mesh.hpp"
 
 namespace pnr::pared {
 

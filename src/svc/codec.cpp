@@ -124,11 +124,7 @@ std::optional<Mesh> build_mesh(const FlatMesh& m, std::string* why) {
   // Everything the mesh's finalize PNR_REQUIREs is pre-validated by the
   // mesh layer, so hostile input gets a typed error instead of aborting the
   // server.
-  std::optional<Mesh> built;
-  if constexpr (Mesh::kDim == 2)
-    built = mesh::try_build_tri_mesh(m.coords, m.elems, why);
-  else
-    built = mesh::try_build_tet_mesh(m.coords, m.elems, why);
+  auto built = mesh::try_build_mesh<Mesh>(m.coords, m.elems, why);
   if (!built) return std::nullopt;
   if (const auto report = check::check_mesh(*built); !report.ok()) {
     fail(why, "mesh audit failed");

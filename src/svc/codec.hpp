@@ -16,7 +16,7 @@
 
 #include "check/check_fed.hpp"
 #include "graph/csr.hpp"
-#include "mesh/simplex.hpp"
+#include "mesh/simplex_mesh.hpp"
 #include "pared/session.hpp"
 #include "pared/workloads.hpp"
 #include "parallel/serialize.hpp"

@@ -59,7 +59,7 @@ void check_incremental_interface_weights_match_brute_force(
   graph::GraphBuilder brute(m.num_initial_elements());
   for (ElemIdx c = 0; c < m.num_initial_elements(); ++c)
     brute.set_vertex_weight(c, m.leaf_count(c));
-  for_each_leaf_interface(m, [&](ElemIdx e1, ElemIdx e2) {
+  m.for_each_leaf_interface([&](ElemIdx e1, ElemIdx e2) {
     if (e1 == kNoElem || e2 == kNoElem) return;
     if (m.element(e1).coarse != m.element(e2).coarse)
       brute.add_edge(m.element(e1).coarse, m.element(e2).coarse, 1);

@@ -45,9 +45,9 @@ TEST_F(IoTest, TriangleRoundTrip) {
   // Total area must survive the round trip.
   double area_in = 0.0, area_out = 0.0;
   for (const ElemIdx e : original.leaf_elements())
-    area_in += original.signed_area(e);
+    area_in += original.signed_measure(e);
   for (const ElemIdx e : loaded->leaf_elements())
-    area_out += loaded->signed_area(e);
+    area_out += loaded->signed_measure(e);
   EXPECT_NEAR(area_in, area_out, 1e-9);
 }
 

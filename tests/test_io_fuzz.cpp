@@ -239,19 +239,19 @@ TEST_F(IoFuzzTest, BitFlippedValidFilesNeverCrash) {
 }
 
 TEST_F(IoFuzzTest, TryBuildersMatchReaderVerdicts) {
-  // The readers now route through mesh::try_build_*; spot-check the
+  // The readers now route through mesh::try_build_mesh; spot-check the
   // builders directly so a future reader bypass shows up here.
   const double coords[] = {0, 0, 1, 0, 0, 1};
   const mesh::VertIdx good[] = {0, 1, 2};
-  EXPECT_TRUE(mesh::try_build_tri_mesh(coords, good));
+  EXPECT_TRUE(mesh::try_build_mesh<mesh::TriMesh>(coords, good));
   const mesh::VertIdx repeated[] = {0, 1, 1};
   std::string why;
-  EXPECT_FALSE(mesh::try_build_tri_mesh(coords, repeated, &why));
+  EXPECT_FALSE(mesh::try_build_mesh<mesh::TriMesh>(coords, repeated, &why));
   EXPECT_NE(why.find("corner"), std::string::npos);
   const mesh::VertIdx out_of_range[] = {0, 1, 7};
-  EXPECT_FALSE(mesh::try_build_tri_mesh(coords, out_of_range, &why));
-  EXPECT_FALSE(mesh::try_build_tri_mesh({}, good, &why));
-  EXPECT_FALSE(mesh::try_build_tet_mesh(coords, good, &why));
+  EXPECT_FALSE(mesh::try_build_mesh<mesh::TriMesh>(coords, out_of_range, &why));
+  EXPECT_FALSE(mesh::try_build_mesh<mesh::TriMesh>({}, good, &why));
+  EXPECT_FALSE(mesh::try_build_mesh<mesh::TetMesh>(coords, good, &why));
 }
 
 }  // namespace

@@ -72,9 +72,9 @@ TEST_P(BisectionGeometry, ChildrenHalveTheParent) {
   for (std::size_t e = 0; e < mesh.element_slots(); ++e) {
     const auto& t = mesh.element(static_cast<mesh::ElemIdx>(e));
     if (!t.alive || t.leaf) continue;
-    const double pa = mesh.signed_area(static_cast<mesh::ElemIdx>(e));
-    const double c0 = mesh.signed_area(t.child[0]);
-    const double c1 = mesh.signed_area(t.child[1]);
+    const double pa = mesh.signed_measure(static_cast<mesh::ElemIdx>(e));
+    const double c0 = mesh.signed_measure(t.child[0]);
+    const double c1 = mesh.signed_measure(t.child[1]);
     EXPECT_NEAR(c0 + c1, pa, 1e-12 * std::abs(pa) + 1e-300);
     // A midpoint bisection gives exactly equal halves.
     EXPECT_NEAR(c0, c1, 1e-12 * std::abs(pa) + 1e-300);

@@ -4,10 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "dual_checks.hpp"
+#include "mesh_checks.hpp"
 #include "mesh/dual.hpp"
 #include "mesh/generate.hpp"
 #include "mesh/metrics.hpp"
-#include "mesh/tet_mesh.hpp"
+#include "mesh/simplex_mesh.hpp"
 
 namespace pnr::mesh {
 namespace {
@@ -38,14 +39,14 @@ TEST(Generate3D, StructuredCounts) {
 TEST(Generate3D, VolumeIsDomainVolume) {
   const TetMesh m = unit_cube(3, 0.15, 5);
   double vol = 0.0;
-  for (const ElemIdx e : m.leaf_elements()) vol += m.signed_volume(e);
+  for (const ElemIdx e : m.leaf_elements()) vol += m.signed_measure(e);
   EXPECT_NEAR(vol, 8.0, 1e-9);
 }
 
 TEST(Generate3D, JitteredStaysPositive) {
   const TetMesh m = unit_cube(4, 0.2, 17);
   for (const ElemIdx e : m.leaf_elements())
-    EXPECT_GT(m.signed_volume(e), 0.0);
+    EXPECT_GT(m.signed_measure(e), 0.0);
   EXPECT_TRUE(m.check_invariants().empty()) << m.check_invariants();
 }
 
@@ -61,7 +62,7 @@ TEST(Refine3D, VolumeConserved) {
   m.refine(m.leaf_elements());
   m.refine(leaves_in_ball(m, 0.5, 0.5, 0.5, 0.6));
   double vol = 0.0;
-  for (const ElemIdx e : m.leaf_elements()) vol += m.signed_volume(e);
+  for (const ElemIdx e : m.leaf_elements()) vol += m.signed_measure(e);
   EXPECT_NEAR(vol, 8.0, 1e-9);
   EXPECT_TRUE(m.check_invariants().empty()) << m.check_invariants();
 }
@@ -92,6 +93,29 @@ TEST(Refine3D, LeafCountsTrackAncestors) {
   for (ElemIdx c = 0; c < m.num_initial_elements(); ++c)
     total += m.leaf_count(c);
   EXPECT_EQ(total, m.num_leaves());
+}
+
+TEST(Refine3D, MarkedElementIsNoLongerLeaf) {
+  check_marked_element_is_no_longer_leaf(unit_cube(2), 5);
+}
+
+TEST(Refine3D, LevelsIncreaseMonotonically) {
+  check_levels_increase_monotonically(unit_cube(2), /*max_level=*/4);
+}
+
+TEST(Coarsen3D, RefusesWhenMidpointStillUsed) {
+  check_refuses_when_midpoint_still_used(unit_cube(2));
+}
+
+TEST(Coarsen3D, SlotsAreRecycled) {
+  check_slots_are_recycled(unit_cube(2));
+}
+
+// The 3D twin of MeshPin.AdaptationSequence2D (test_tri_mesh.cpp).
+TEST(MeshPin, AdaptationSequence3D) {
+  EXPECT_EQ(adaptation_digest(unit_cube(3, 0.2, 3), {-0.6, 0.5, -0.3},
+                              {0.25, -0.2, 0.1}, 0.6, 6),
+            8184508100519653310ull);
 }
 
 TEST(Coarsen3D, RoundTripToInitial) {

@@ -7,10 +7,11 @@
 #include <cmath>
 
 #include "dual_checks.hpp"
+#include "mesh_checks.hpp"
 #include "mesh/dual.hpp"
 #include "mesh/generate.hpp"
 #include "mesh/metrics.hpp"
-#include "mesh/tri_mesh.hpp"
+#include "mesh/simplex_mesh.hpp"
 
 namespace pnr::mesh {
 namespace {
@@ -47,13 +48,13 @@ TEST(Generate, PaperMeshSize) {
 TEST(Generate, JitterKeepsPositiveAreas) {
   const TriMesh m = unit_square(8, 0.3, 42);
   for (const ElemIdx e : m.leaf_elements())
-    EXPECT_GT(m.signed_area(e), 0.0);
+    EXPECT_GT(m.signed_measure(e), 0.0);
 }
 
 TEST(Generate, TotalAreaIsDomainArea) {
   const TriMesh m = unit_square(6, 0.25, 3);
   double area = 0.0;
-  for (const ElemIdx e : m.leaf_elements()) area += m.signed_area(e);
+  for (const ElemIdx e : m.leaf_elements()) area += m.signed_measure(e);
   EXPECT_NEAR(area, 4.0, 1e-9);
 }
 
@@ -67,10 +68,7 @@ TEST(Refine, SingleMarkBisectsAndStaysConforming) {
 }
 
 TEST(Refine, MarkedElementIsNoLongerLeaf) {
-  TriMesh m = unit_square(4);
-  m.refine({5});
-  EXPECT_FALSE(m.is_leaf(5));
-  EXPECT_EQ(m.element(5).child[0] != kNoElem, true);
+  check_marked_element_is_no_longer_leaf(unit_square(4), 5);
 }
 
 TEST(Refine, AreaConservedThroughRefinement) {
@@ -78,7 +76,7 @@ TEST(Refine, AreaConservedThroughRefinement) {
   m.refine(m.leaf_elements());
   m.refine(leaves_in_disc(m, 0.5, 0.5, 0.5));
   double area = 0.0;
-  for (const ElemIdx e : m.leaf_elements()) area += m.signed_area(e);
+  for (const ElemIdx e : m.leaf_elements()) area += m.signed_measure(e);
   EXPECT_NEAR(area, 4.0, 1e-9);
   EXPECT_TRUE(m.check_invariants().empty()) << m.check_invariants();
 }
@@ -114,14 +112,7 @@ TEST(Refine, LeafCountsTrackCoarseAncestors) {
 }
 
 TEST(Refine, LevelsIncreaseMonotonically) {
-  TriMesh m = unit_square(4);
-  m.refine(m.leaf_elements());
-  m.refine(m.leaf_elements());
-  for (const ElemIdx e : m.leaf_elements()) {
-    const auto& t = m.element(e);
-    EXPECT_GE(t.level, 1);
-    EXPECT_LE(t.level, 4);  // propagation bound for two uniform rounds
-  }
+  check_levels_increase_monotonically(unit_square(4), /*max_level=*/4);
 }
 
 TEST(Coarsen, UndoesSimpleRefinement) {
@@ -152,22 +143,20 @@ TEST(Coarsen, MultiPassReturnsToInitialMesh) {
 }
 
 TEST(Coarsen, RefusesWhenMidpointStillUsed) {
-  TriMesh m = unit_square(4);
-  m.refine({0});
-  // Mark only one child: its sibling is unmarked, so nothing may coarsen.
-  ElemIdx child = m.element(0).child[0];
-  const auto merges = m.coarsen({child});
-  EXPECT_EQ(merges, 0);
+  check_refuses_when_midpoint_still_used(unit_square(4));
 }
 
 TEST(Coarsen, SlotsAreRecycled) {
-  TriMesh m = unit_square(4);
-  m.refine(m.leaf_elements());
-  const auto slots_after_refine = m.element_slots();
-  while (m.coarsen(m.leaf_elements()) > 0) {
-  }
-  m.refine(m.leaf_elements());
-  EXPECT_EQ(m.element_slots(), slots_after_refine);
+  check_slots_are_recycled(unit_square(4));
+}
+
+// Pins bisection order, child layout, slot recycling and the incremental
+// dual bookkeeping of the 2D mesh. Every fingerprint and committed result
+// depends on them, so a new digest means changed behaviour, not a refactor.
+TEST(MeshPin, AdaptationSequence2D) {
+  EXPECT_EQ(adaptation_digest(unit_square(6, 0.25, 3), {-0.6, 0.5},
+                              {0.25, -0.2}, 0.5, 6),
+            7638366655349221593ull);
 }
 
 TEST(Dual, FineDualMatchesLeafCount) {
