@@ -80,9 +80,8 @@ void BM_Inertial(benchmark::State& state) {
   const auto& mesh = adapted_mesh(40);
   const auto dual = mesh::fine_dual_graph(mesh);
   const auto coords = mesh::leaf_centroids(mesh, dual.elems);
-  util::Rng rng(1);
   for (auto _ : state) {
-    auto pi = part::inertial_partition(dual.graph, coords, 2, 16, rng);
+    auto pi = part::inertial_partition(dual.graph, coords, 2, 16);
     benchmark::DoNotOptimize(pi.assign.data());
   }
 }

@@ -23,10 +23,15 @@ conventions the compiler cannot enforce:
                    ::send, <sys/socket.h>, ...) outside src/svc/: all wire
                    I/O flows through svc::Server / svc::Client so framing,
                    limits and error handling stay in one audited place
-  mesh-dispatch    no is_same_v<..., TriMesh|TetMesh|SimplexMesh<D>>
-                   anywhere: code written once for both dimensions
-                   branches on Mesh::kDim, the vocabulary of
-                   mesh/simplex_mesh.hpp
+  mesh-dispatch    no is_same_v<..., TriMesh|TetMesh|SimplexMesh<D>> and
+                   no type test on the workloads (TransientRun*,
+                   CornerSeries*) anywhere: code written once for both
+                   dimensions branches on Mesh::kDim (Run::Mesh::kDim), the
+                   vocabulary of mesh/simplex_mesh.hpp
+
+The path rules (raw-thread, raw-socket) judge a file by its path from the
+repo root; a file outside the tree is judged by its path from its last
+src/ component, so a self-test can seed one under .../src/exec/.
 
 Exit status is the number of violating files (0 = clean). Pass file paths to
 lint a subset; default lints the whole tree.
@@ -70,12 +75,14 @@ RAW_SOCKET = re.compile(
     r'|(?<![A-Za-z0-9_])::(?:socket|socketpair|bind|listen|accept|connect|'
     r'poll|recv|recvmsg|send|sendmsg|fcntl)\s*\()')
 RAW_SOCKET_ALLOWED = ("src/svc/",)
-# A type test against a concrete mesh type (std::is_same / is_same_v /
-# std::same_as naming TriMesh, TetMesh or SimplexMesh). The mesh itself
-# needs none either, so no file is exempt.
+# A type test against a concrete mesh or workload type (std::is_same /
+# is_same_v / std::same_as naming TriMesh, TetMesh, SimplexMesh or one of
+# the pared::TransientRun* / CornerSeries* workloads). The mesh itself needs
+# none either, so no file is exempt.
 MESH_DISPATCH = re.compile(
     r'(?<![A-Za-z0-9_])(?:is_same(?:_v)?|same_as)\s*<[^;]*'
-    r'(?<![A-Za-z0-9_])(?:TriMesh|TetMesh|SimplexMesh)\b')
+    r'(?<![A-Za-z0-9_])(?:TriMesh|TetMesh|SimplexMesh|TransientRun\w*|'
+    r'CornerSeries\w*)\b')
 
 
 def strip_comments_and_strings(line: str, in_block: bool) -> tuple[str, bool]:
@@ -118,11 +125,25 @@ def strip_comments_and_strings(line: str, in_block: bool) -> tuple[str, bool]:
     return "".join(out), in_block
 
 
+def scope_of(path: pathlib.Path) -> str:
+    """The path the path rules judge: repo-relative in the tree, else the
+    suffix from the last `src` component (a self-test's seeded file)."""
+    try:
+        return path.relative_to(ROOT).as_posix()
+    except ValueError:
+        parts = path.parts
+        if "src" not in parts:
+            return path.as_posix()
+        last = len(parts) - 1 - parts[::-1].index("src")
+        return "/".join(parts[last:])
+
+
 def lint_file(path: pathlib.Path) -> list[str]:
     try:
         rel = path.relative_to(ROOT)
     except ValueError:
         rel = path  # out-of-tree file (self-test snippets): report as given
+    scope = scope_of(path)
     problems: list[str] = []
     try:
         text = path.read_text(encoding="utf-8")
@@ -165,13 +186,13 @@ def lint_file(path: pathlib.Path) -> list[str]:
             problems.append(
                 f"{rel}:{lineno}: using-namespace-std: qualify std:: names")
         if (RAW_THREAD.search(code)
-                and not str(rel).startswith(RAW_THREAD_ALLOWED)):
+                and not scope.startswith(RAW_THREAD_ALLOWED)):
             problems.append(
                 f"{rel}:{lineno}: raw-thread: std::thread/jthread/async is "
                 "reserved for src/exec/ and src/parallel/; run on the "
                 "pnr::exec pool to keep results deterministic")
         if (RAW_SOCKET.search(code)
-                and not str(rel).startswith(RAW_SOCKET_ALLOWED)):
+                and not scope.startswith(RAW_SOCKET_ALLOWED)):
             problems.append(
                 f"{rel}:{lineno}: raw-socket: socket/poll/fd syscalls are "
                 "reserved for src/svc/; go through svc::Server and "
@@ -180,8 +201,9 @@ def lint_file(path: pathlib.Path) -> list[str]:
         if MESH_DISPATCH.search(code):
             problems.append(
                 f"{rel}:{lineno}: mesh-dispatch: do not test for a mesh "
-                "type (TriMesh/TetMesh/SimplexMesh); branch on Mesh::kDim "
-                "so the code stays written once for both dimensions")
+                "or workload type (TriMesh/TetMesh/SimplexMesh, "
+                "TransientRun*/CornerSeries*); branch on Mesh::kDim so the "
+                "code stays written once for both dimensions")
 
         # Prof names live inside string literals, so match the raw line.
         for m in PROF_USE.finditer(raw):

@@ -58,6 +58,30 @@ CASES = [
      'template <typename M> int f() {\n'
      '  if constexpr (std::is_same_v<M, mesh::SimplexMesh<2>>) return 2;\n'
      '  return 3;\n}\n', "mesh-dispatch"),
+    ("is_same_v against a workload type fires", "u.cpp",
+     'template <typename R> int f() {\n'
+     '  if constexpr (std::is_same_v<R, pared::TransientRun>) return 2;\n'
+     '  return 3;\n}\n', "mesh-dispatch"),
+    ("is_same_v against a workload template fires", "v.cpp",
+     'template <typename R> int f() {\n'
+     '  return std::is_same_v<R, CornerSeriesT<mesh::TetMesh>>;\n}\n',
+     "mesh-dispatch"),
+    # Path exemptions: the seeded file sits under a src/ directory of the
+    # temp dir, which lint judges like the same path in the tree.
+    ("std::thread under src/exec/ is allowed", "src/exec/w.cpp",
+     '#include <thread>\nvoid f() { std::thread t; }\n', None),
+    ("std::thread under src/parallel/ is allowed", "src/parallel/w.cpp",
+     '#include <thread>\nvoid f() { std::thread t; }\n', None),
+    ("std::thread under src/mesh/ fires", "src/mesh/w.cpp",
+     '#include <thread>\nvoid f() { std::thread t; }\n', "raw-thread"),
+    ("std::thread under src/svc/ fires", "src/svc/w.cpp",
+     '#include <thread>\nvoid f() { std::thread t; }\n', "raw-thread"),
+    ("raw socket under src/svc/ is allowed", "src/svc/x.cpp",
+     'int f() { return ::socket(1, 2, 3); }\n', None),
+    ("raw socket under src/fed/ fires", "src/fed/x.cpp",
+     'int f() { return ::socket(1, 2, 3); }\n', "raw-socket"),
+    ("raw socket under a nested src/exec/ fires", "src/svc/src/exec/x.cpp",
+     'int f() { return ::socket(1, 2, 3); }\n', "raw-socket"),
     ("branching on Mesh::kDim is clean", "s.cpp",
      'template <typename M> int f() {\n'
      '  if constexpr (M::kDim == 3) return 3;\n'
@@ -71,6 +95,7 @@ CASES = [
 def run_lint(filename: str, source: str):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, filename)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w") as f:
             f.write(source)
         return subprocess.run([sys.executable, SCRIPT, path],

@@ -19,10 +19,11 @@ Pnr::Pnr(part::PartId p, PnrOptions options) : p_(p), options_(options) {
 part::Partition Pnr::initial_partition(const graph::Graph& g,
                                        util::Rng& rng) const {
   PNR_PROF_SPAN("pnr.initial_partition");
-  part::PartitionerOptions popt;
-  popt.method = options_.initial_method;
-  popt.imbalance_tol = options_.initial_imbalance_tol;
-  part::Partition pi = part::make_partition(g, p_, rng, popt);
+  // Standard multilevel KL at a looser tolerance than the paper's ε; the
+  // polish below tightens it.
+  part::MlklOptions mo;
+  mo.imbalance_tol = 0.03;
+  part::Partition pi = part::multilevel_kl(g, p_, rng, mo);
 
   // Polish toward the paper's ε < 0.01 (no migration term: there is no
   // previous assignment yet).

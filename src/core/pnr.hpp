@@ -18,7 +18,6 @@
 #include "graph/coarsen.hpp"
 #include "graph/csr.hpp"
 #include "partition/partition.hpp"
-#include "partition/partitioner.hpp"
 #include "util/rng.hpp"
 
 namespace pnr::core {
@@ -42,9 +41,6 @@ struct PnrOptions {
   bool repartition_coarsest = false;
   /// Ablation switch: random matching instead of heavy-edge.
   bool random_matching = false;
-  /// Algorithm for the very first partition of G.
-  part::Method initial_method = part::Method::kMultilevelKL;
-  double initial_imbalance_tol = 0.03;
 };
 
 /// The measures the paper's tables report for one repartitioning step.

@@ -1,14 +1,9 @@
 #pragma once
-// Parallel recursive inertial bisection (Parma-style RIB): repeatedly split
-// each subdomain by the principal axis of its weighted inertia tensor until
-// p parts remain, then relabel against Π^{t-1} with the Hungarian remap.
-// Parallelism is level-synchronous — every bisection of one recursion level
-// is an independent grain-1 task on pnr::exec, and each task's math runs
-// serially on global coordinates, so the assignment is bitwise identical
-// for any thread count (the subsystem's determinism contract). Unlike
-// part::inertial_partition, no induced subgraphs are built: a bisection
-// needs only vertex weights and centroids, so tasks carry plain global
-// vertex-id lists.
+// Parallel recursive inertial bisection (Parma-style RIB) behind the engine
+// interface: part::inertial_partition splits the graph into p parts by the
+// principal axes of the subdomains' weighted inertia tensors (level-
+// synchronous on pnr::exec, bitwise identical for any thread count), then
+// the parts are relabelled against Π^{t-1} with the Hungarian remap.
 
 #include "engine/engine.hpp"
 

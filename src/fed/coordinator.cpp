@@ -25,7 +25,7 @@ std::string client_error(const svc::Client& c) {
 
 template <typename Run>
 constexpr svc::WorkloadKind kind_of() {
-  if constexpr (std::is_same_v<Run, pared::TransientRun>)
+  if constexpr (Run::Mesh::kDim == 2)
     return svc::WorkloadKind::kTransient2D;
   else
     return svc::WorkloadKind::kTransient3D;

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -73,7 +72,7 @@ struct RoundResult {
 template <typename Run>
 class CoordinatorT {
  public:
-  using Mesh = std::remove_cvref_t<decltype(std::declval<Run&>().mesh())>;
+  using Mesh = typename Run::Mesh;
 
   /// `daemons` are connected clients, one per shard rank, borrowed for the
   /// coordinator's lifetime (the caller owns connections and pumps). The

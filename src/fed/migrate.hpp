@@ -6,9 +6,9 @@
 // each refinement tree is owned by exactly one shard. Migration therefore
 // ships real serialized subtree bytes, and the receiver proves the payload
 // matches its replica bit for bit (ids, topology, levels, geometry) before
-// accepting ownership. The byte layout is exactly par::ParedRankT's
-// serialize_tree, so the simulator and the socket federation measure the
-// same payload volumes:
+// accepting ownership. par::ParedRankT's rank simulator ships these same
+// payloads, so the simulator and the socket federation measure the same
+// payload volumes. The layout:
 //
 //   u64 node_count, then per node (DFS, child[1] before child[0] popped):
 //   i32 elem, kVertsPerElem × i32 vert, i16 level, u8 leaf,
@@ -19,9 +19,9 @@
 // once against the shared mesh vocabulary of mesh/simplex_mesh.hpp and
 // instantiated for TriMesh and TetMesh.
 //
-// Unlike the simulator's aborting validator, verify_subtree answers a trust
-// boundary: payloads arrive over sockets, so every mismatch is a returned
-// diagnosis, never a crash.
+// verify_subtree answers a trust boundary: payloads arrive over sockets, so
+// every mismatch is a returned diagnosis, never a crash (the simulator,
+// whose messages never leave the process, aborts on one).
 
 #include <cstdint>
 #include <optional>

@@ -26,7 +26,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -40,7 +39,7 @@ namespace pnr::fed {
 template <typename Run>
 class ShardT {
  public:
-  using Mesh = std::remove_cvref_t<decltype(std::declval<Run&>().mesh())>;
+  using Mesh = typename Run::Mesh;
 
   /// `rank` in [0, count): this daemon's slot. Tree `c` starts owned by
   /// shard `c % count` on every shard (deterministic, no round needed).

@@ -2,7 +2,8 @@
 // Elementwise L∞ error indicator and refine/coarsen marking. The indicator
 // is the maximum deviation of the analytic field over the element from its
 // centroid value — an O(h·|∇u|) proxy for the interpolation error that the
-// paper's L∞-norm adaptation equidistributes.
+// paper's L∞-norm adaptation equidistributes. Each function is one template
+// over the mesh (TriMesh or TetMesh) and its MeshField.
 
 #include <vector>
 
@@ -11,10 +12,9 @@
 
 namespace pnr::fem {
 
-double element_indicator(const mesh::TriMesh& mesh, mesh::ElemIdx e,
-                         const ScalarField2& field);
-double element_indicator(const mesh::TetMesh& mesh, mesh::ElemIdx e,
-                         const ScalarField3& field);
+template <typename Mesh>
+double element_indicator(const Mesh& mesh, mesh::ElemIdx e,
+                         const MeshField<Mesh>& field);
 
 struct MarkOptions {
   double refine_threshold = 1e-3;   ///< refine when indicator exceeds this
@@ -22,18 +22,14 @@ struct MarkOptions {
   int max_level = 40;               ///< never refine past this tree depth
 };
 
-std::vector<mesh::ElemIdx> mark_for_refinement(const mesh::TriMesh& mesh,
-                                               const ScalarField2& field,
-                                               const MarkOptions& options);
-std::vector<mesh::ElemIdx> mark_for_refinement(const mesh::TetMesh& mesh,
-                                               const ScalarField3& field,
+template <typename Mesh>
+std::vector<mesh::ElemIdx> mark_for_refinement(const Mesh& mesh,
+                                               const MeshField<Mesh>& field,
                                                const MarkOptions& options);
 
-std::vector<mesh::ElemIdx> mark_for_coarsening(const mesh::TriMesh& mesh,
-                                               const ScalarField2& field,
-                                               const MarkOptions& options);
-std::vector<mesh::ElemIdx> mark_for_coarsening(const mesh::TetMesh& mesh,
-                                               const ScalarField3& field,
+template <typename Mesh>
+std::vector<mesh::ElemIdx> mark_for_coarsening(const Mesh& mesh,
+                                               const MeshField<Mesh>& field,
                                                const MarkOptions& options);
 
 }  // namespace pnr::fem

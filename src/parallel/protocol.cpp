@@ -1,8 +1,10 @@
 #include "parallel/protocol.hpp"
 
 #include <algorithm>
+#include <string>
 #include <unordered_map>
 
+#include "fed/migrate.hpp"
 #include "graph/builder.hpp"
 #include "mesh/dual.hpp"
 #include "parallel/serialize.hpp"
@@ -124,45 +126,6 @@ graph::Graph ParedRankT<Mesh>::assemble_coarse_graph(StepStats& stats) {
 }
 
 template <typename Mesh>
-Bytes ParedRankT<Mesh>::serialize_tree(mesh::ElemIdx root) const {
-  // Depth-first dump of the refinement history tree plus the coordinates of
-  // every vertex it references — a faithful migration payload.
-  Writer w;
-  const auto nodes = mesh::subtree_elements(mesh_, root);
-  w.put(static_cast<std::uint64_t>(nodes.size()));
-  for (const mesh::ElemIdx e : nodes) {
-    const auto& t = mesh_.element(e);
-    w.put(e);
-    for (const mesh::VertIdx v : t.v) w.put(v);
-    w.put(t.level);
-    w.put(static_cast<std::uint8_t>(t.leaf));
-    for (const mesh::VertIdx v : t.v)
-      for (const double c : mesh::coords(mesh_.vertex(v))) w.put(c);
-  }
-  return w.take();
-}
-
-template <typename Mesh>
-void ParedRankT<Mesh>::validate_tree_payload(const Bytes& payload) const {
-  Reader r(payload);
-  const auto count = r.get<std::uint64_t>();
-  for (std::uint64_t k = 0; k < count; ++k) {
-    const auto e = r.get<mesh::ElemIdx>();
-    const auto& t = mesh_.element(e);
-    // Replication invariant: the shipped tree must match our replica bit
-    // for bit (same ids, same topology, same geometry).
-    PNR_REQUIRE(t.alive);
-    for (const mesh::VertIdx v : t.v) PNR_REQUIRE(v == r.get<mesh::VertIdx>());
-    PNR_REQUIRE(t.level == r.get<std::int16_t>());
-    PNR_REQUIRE(static_cast<std::uint8_t>(t.leaf) == r.get<std::uint8_t>());
-    for (const mesh::VertIdx v : t.v)
-      for (const double c : mesh::coords(mesh_.vertex(v)))
-        PNR_REQUIRE(c == r.get<double>());
-  }
-  PNR_REQUIRE(r.done());
-}
-
-template <typename Mesh>
 void ParedRankT<Mesh>::migrate_trees(const std::vector<part::PartId>& next,
                                      StepStats& stats) {
   PNR_PROF_SPAN("protocol.migrate");
@@ -185,19 +148,32 @@ void ParedRankT<Mesh>::migrate_trees(const std::vector<part::PartId>& next,
         outgoing[static_cast<std::size_t>(dest)].size()));
     comm_.send(dest, kTagTreeCount, header.take());
     for (const mesh::ElemIdx c : outgoing[static_cast<std::size_t>(dest)]) {
-      Bytes payload = serialize_tree(c);
+      Bytes payload = fed::pack_subtree(mesh_, c);
       stats.payload_bytes += static_cast<std::int64_t>(payload.size());
       ++stats.trees_moved;
       stats.elements_moved += mesh_.leaf_count(c);
       comm_.send(dest, kTagTree, std::move(payload));
     }
   }
+  // Each incoming tree must match our replica bit for bit (the replication
+  // invariant); the sender ships its trees in ascending root order.
   for (int src = 0; src < comm_.size(); ++src) {
     if (src == me) continue;
     Reader header(comm_.recv(src, kTagTreeCount));
     const auto count = header.get<std::uint64_t>();
-    for (std::uint64_t k = 0; k < count; ++k)
-      validate_tree_payload(comm_.recv(src, kTagTree));
+    std::vector<mesh::ElemIdx> incoming;
+    for (mesh::ElemIdx c = 0; c < mesh_.num_initial_elements(); ++c) {
+      const auto sc = static_cast<std::size_t>(c);
+      if (ownership_[sc] == src && next[sc] == me) incoming.push_back(c);
+    }
+    PNR_REQUIRE(count == incoming.size());
+    for (const mesh::ElemIdx c : incoming) {
+      const Bytes payload = comm_.recv(src, kTagTree);
+      std::string why;
+      PNR_REQUIRE_MSG(fed::verify_subtree(mesh_, c, payload.data(),
+                                          payload.size(), &why),
+                      why.c_str());
+    }
   }
   ownership_ = next;
   // This rank's own contributions (the step()'s all-reduce would multiply

@@ -68,8 +68,6 @@ class ParedRankT {
  private:
   graph::Graph assemble_coarse_graph(StepStats& stats);
   void migrate_trees(const std::vector<part::PartId>& next, StepStats& stats);
-  Bytes serialize_tree(mesh::ElemIdx root) const;
-  void validate_tree_payload(const Bytes& payload) const;
 
   Comm& comm_;
   Mesh mesh_;

@@ -1,6 +1,8 @@
 #pragma once
 // The paper's two experimental workloads, packaged so every bench drives the
-// identical mesh sequences.
+// identical mesh sequences. Each is one class template over the mesh type
+// (mesh::TriMesh or mesh::TetMesh); only the initial lattice, the analytic
+// field and the default grid and depth differ per dimension.
 //
 // * CornerSeries (Section 6): adapt the initial quasi-uniform mesh toward
 //   the corner singularity of the Laplace problem level by level. Each
@@ -10,7 +12,9 @@
 //   progressions in shape.
 // * TransientRun (Section 10): the moving-peak Poisson problem over 100
 //   time steps; each step coarsens where the peak left and refines where it
-//   arrived.
+//   arrived. The 3D run lifts it to (-1,1)³ with fem::moving_peak_3d on a
+//   coarser default grid, because tet counts grow an order of magnitude
+//   faster.
 
 #include <cstdint>
 
@@ -27,42 +31,28 @@ struct CornerOptions {
   std::uint64_t seed = 1;
 };
 
-/// 2D corner-problem mesh series (levels 0..max_levels).
-class CornerSeries2D {
+/// Corner-problem mesh series (levels 0..max_levels).
+template <typename MeshT>
+class CornerSeriesT {
  public:
-  explicit CornerSeries2D(int grid_n = 79, CornerOptions options = {});
+  using Mesh = MeshT;
+  /// Lattice resolution when the caller names none.
+  static constexpr int kDefaultGrid = Mesh::kDim == 2 ? 79 : 12;
+
+  explicit CornerSeriesT(int grid_n = kDefaultGrid, CornerOptions options = {});
 
   /// Refine to the next level; returns the number of bisections.
   std::int64_t advance();
 
   int level() const { return level_; }
-  const mesh::TriMesh& mesh() const { return mesh_; }
-  mesh::TriMesh& mutable_mesh() { return mesh_; }
-  const fem::ScalarField2& field() const { return field_; }
+  const Mesh& mesh() const { return mesh_; }
+  Mesh& mutable_mesh() { return mesh_; }
+  const fem::MeshField<Mesh>& field() const { return field_; }
 
  private:
   CornerOptions options_;
-  fem::ScalarField2 field_;
-  mesh::TriMesh mesh_;
-  int level_ = 0;
-};
-
-/// 3D corner-problem mesh series (levels 0..max_levels).
-class CornerSeries3D {
- public:
-  explicit CornerSeries3D(int grid_n = 12, CornerOptions options = {});
-
-  std::int64_t advance();
-
-  int level() const { return level_; }
-  const mesh::TetMesh& mesh() const { return mesh_; }
-  mesh::TetMesh& mutable_mesh() { return mesh_; }
-  const fem::ScalarField3& field() const { return field_; }
-
- private:
-  CornerOptions options_;
-  fem::ScalarField3 field_;
-  mesh::TetMesh mesh_;
+  fem::MeshField<Mesh> field_;
+  Mesh mesh_;
   int level_ = 0;
 };
 
@@ -78,9 +68,22 @@ struct TransientOptions {
 };
 
 /// Section 10 transient workload: call advance() once per time step.
-class TransientRun {
+template <typename MeshT>
+class TransientRunT {
  public:
-  explicit TransientRun(TransientOptions options = {});
+  using Mesh = MeshT;
+  /// TransientOptions as-is in 2D; resized for tets in 3D (grid_n 6,
+  /// shallower depth cap).
+  static TransientOptions default_options() {
+    TransientOptions options;
+    if constexpr (Mesh::kDim == 3) {
+      options.grid_n = 6;
+      options.max_level = 4;
+    }
+    return options;
+  }
+
+  explicit TransientRunT(TransientOptions options = default_options());
 
   struct StepInfo {
     int step = 0;
@@ -95,50 +98,26 @@ class TransientRun {
   bool done() const { return step_ >= options_.steps; }
   int step() const { return step_; }
   double time() const { return t_; }
-  const mesh::TriMesh& mesh() const { return mesh_; }
-  mesh::TriMesh& mutable_mesh() { return mesh_; }
+  const Mesh& mesh() const { return mesh_; }
+  Mesh& mutable_mesh() { return mesh_; }
   const TransientOptions& options() const { return options_; }
-  fem::ScalarField2 current_field() const { return fem::moving_peak(t_); }
+  fem::MeshField<Mesh> current_field() const;
 
  private:
   TransientOptions options_;
-  mesh::TriMesh mesh_;
+  Mesh mesh_;
   int step_ = 0;
   double t_ = 0.0;
 };
 
-/// 3D moving-peak transient (the Section 10 workload lifted to (-1,1)³ with
-/// fem::moving_peak_3d). Same stepping contract as TransientRun; the default
-/// grid is coarser because tet counts grow an order of magnitude faster.
-class TransientRun3D {
- public:
-  explicit TransientRun3D(TransientOptions options = default_options());
+using CornerSeries2D = CornerSeriesT<mesh::TriMesh>;
+using CornerSeries3D = CornerSeriesT<mesh::TetMesh>;
+using TransientRun = TransientRunT<mesh::TriMesh>;
+using TransientRun3D = TransientRunT<mesh::TetMesh>;
 
-  /// TransientOptions resized for tets (grid_n 6, shallower depth cap).
-  static TransientOptions default_options() {
-    TransientOptions options;
-    options.grid_n = 6;
-    options.max_level = 4;
-    return options;
-  }
-
-  using StepInfo = TransientRun::StepInfo;
-
-  StepInfo advance();
-
-  bool done() const { return step_ >= options_.steps; }
-  int step() const { return step_; }
-  double time() const { return t_; }
-  const mesh::TetMesh& mesh() const { return mesh_; }
-  mesh::TetMesh& mutable_mesh() { return mesh_; }
-  const TransientOptions& options() const { return options_; }
-  fem::ScalarField3 current_field() const { return fem::moving_peak_3d(t_); }
-
- private:
-  TransientOptions options_;
-  mesh::TetMesh mesh_;
-  int step_ = 0;
-  double t_ = 0.0;
-};
+extern template class CornerSeriesT<mesh::TriMesh>;
+extern template class CornerSeriesT<mesh::TetMesh>;
+extern template class TransientRunT<mesh::TriMesh>;
+extern template class TransientRunT<mesh::TetMesh>;
 
 }  // namespace pnr::pared

@@ -50,7 +50,7 @@ Partition make_partition(const Graph& g, PartId p, util::Rng& rng,
     case Method::kInertial:
       PNR_REQUIRE_MSG(!options.coords.empty(),
                       "inertial partitioning needs coordinates");
-      return inertial_partition(g, options.coords, options.dim, p, rng);
+      return inertial_partition(g, options.coords, options.dim, p);
     case Method::kRCB:
       PNR_REQUIRE_MSG(!options.coords.empty(),
                       "coordinate bisection needs coordinates");

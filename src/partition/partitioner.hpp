@@ -1,6 +1,6 @@
 #pragma once
-// Facade selecting among the partitioning algorithms by name; the benches
-// and the PARED driver use this single entry point.
+// Facade selecting among the partitioning algorithms by name, for callers
+// that pick the method at run time (examples/partition_tool.cpp).
 
 #include <optional>
 #include <span>

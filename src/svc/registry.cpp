@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -17,49 +18,47 @@ namespace pnr::svc {
 
 namespace {
 
-/// Uploaded-mesh session: the service owns the mesh and drives it only
-/// through validated kOpAdapt / kOpStep requests.
-struct Mesh2DState {
-  mesh::TriMesh mesh;
-  pared::Session2D session;
-};
-struct Mesh3DState {
-  mesh::TetMesh mesh;
-  pared::Session3D session;
+/// Server-side paper workload (pared::TransientRunT or CornerSeriesT): the
+/// workload object owns the mesh and the adaptation policy; the client only
+/// sequences advance/step.
+template <typename Run>
+struct WorkloadState {
+  static constexpr bool kTransient = requires(const Run& run) { run.done(); };
+  static constexpr const char* kName =
+      kTransient ? (Run::Mesh::kDim == 2 ? "transient2d" : "transient3d")
+                 : (Run::Mesh::kDim == 2 ? "corner2d" : "corner3d");
+  Run run;
+  pared::Session<typename Run::Mesh> session;
+  const auto& mesh() const { return run.mesh(); }
+  auto& mutable_mesh() { return run.mutable_mesh(); }
 };
 
-/// Server-side paper workloads: the workload object owns the mesh and the
-/// adaptation policy; the client only sequences advance/step.
-struct Transient2DState {
-  pared::TransientRun run;
-  pared::Session2D session;
-};
-struct Transient3DState {
-  pared::TransientRun3D run;
-  pared::Session3D session;
-};
-struct Corner2DState {
-  pared::CornerSeries2D run;
-  pared::Session2D session;
-};
-struct Corner3DState {
-  pared::CornerSeries3D run;
-  pared::Session3D session;
+/// Uploaded-mesh session: the service owns the mesh and drives it only
+/// through validated kOpAdapt / kOpStep requests.
+template <typename Mesh>
+struct MeshState {
+  static constexpr const char* kName = Mesh::kDim == 2 ? "mesh2d" : "mesh3d";
+  Mesh uploaded;
+  pared::Session<Mesh> session;
+  const Mesh& mesh() const { return uploaded; }
+  Mesh& mutable_mesh() { return uploaded; }
 };
 
 /// Federated shard session (docs/FEDERATION.md): one daemon's slice of a
 /// socket federation. The shard owns its replicated workload run and the
 /// tree-ownership vector; a remote coordinator sequences the round ops.
-struct Fed2DState {
-  fed::Shard2D shard;
-};
-struct Fed3DState {
-  fed::Shard3D shard;
+template <typename Run>
+struct FedState {
+  static constexpr const char* kName =
+      Run::Mesh::kDim == 2 ? "fed2d" : "fed3d";
+  fed::ShardT<Run> shard;
+  const auto& mesh() const { return shard.run().mesh(); }
 };
 
 /// Partition-only session over an uploaded weighted graph (the PNR coarse
 /// graph of some external mesh).
 struct GraphState {
+  static constexpr const char* kName = "graph";
   graph::Graph g;
   core::PnrOptions options;
   part::Partition partition;
@@ -75,70 +74,100 @@ struct GraphState {
   int dim = 0;
 };
 
-using Body = std::variant<Transient2DState, Transient3DState, Corner2DState,
-                          Corner3DState, Mesh2DState, Mesh3DState, GraphState,
-                          Fed2DState, Fed3DState>;
+using Body =
+    std::variant<WorkloadState<pared::TransientRun>,
+                 WorkloadState<pared::TransientRun3D>,
+                 WorkloadState<pared::CornerSeries2D>,
+                 WorkloadState<pared::CornerSeries3D>,
+                 MeshState<mesh::TriMesh>, MeshState<mesh::TetMesh>,
+                 GraphState, FedState<pared::TransientRun>,
+                 FedState<pared::TransientRun3D>>;
 
-/// True for the federated shard states — the ones whose lifecycle is the
-/// fed round protocol rather than the advance/step session loop.
+// The kind of a session body, one test per kind.
 template <typename T>
-inline constexpr bool kIsFedState =
-    std::is_same_v<T, Fed2DState> || std::is_same_v<T, Fed3DState>;
+inline constexpr bool kIsWorkloadState = false;
+template <typename Run>
+inline constexpr bool kIsWorkloadState<WorkloadState<Run>> = true;
+template <typename T>
+inline constexpr bool kIsMeshState = false;
+template <typename Mesh>
+inline constexpr bool kIsMeshState<MeshState<Mesh>> = true;
+/// The federated shard states — the ones whose lifecycle is the fed round
+/// protocol rather than the advance/step session loop.
+template <typename T>
+inline constexpr bool kIsFedState = false;
+template <typename Run>
+inline constexpr bool kIsFedState<FedState<Run>> = true;
+/// The states a pared::Session steps: workloads and uploaded meshes.
+template <typename T>
+inline constexpr bool kHasSession = kIsWorkloadState<T> || kIsMeshState<T>;
 
 const char* kind_name(const Body& body) {
-  struct V {
-    const char* operator()(const Transient2DState&) { return "transient2d"; }
-    const char* operator()(const Transient3DState&) { return "transient3d"; }
-    const char* operator()(const Corner2DState&) { return "corner2d"; }
-    const char* operator()(const Corner3DState&) { return "corner3d"; }
-    const char* operator()(const Mesh2DState&) { return "mesh2d"; }
-    const char* operator()(const Mesh3DState&) { return "mesh3d"; }
-    const char* operator()(const GraphState&) { return "graph"; }
-    const char* operator()(const Fed2DState&) { return "fed2d"; }
-    const char* operator()(const Fed3DState&) { return "fed3d"; }
-  };
-  return std::visit(V{}, body);
+  return std::visit([](const auto& s) { return s.kName; }, body);
 }
 
 /// Session size: mesh leaves, or graph vertices.
 std::int64_t body_elements(const Body& body) {
-  struct V {
-    std::int64_t operator()(const Transient2DState& s) {
-      return s.run.mesh().num_leaves();
-    }
-    std::int64_t operator()(const Transient3DState& s) {
-      return s.run.mesh().num_leaves();
-    }
-    std::int64_t operator()(const Corner2DState& s) {
-      return s.run.mesh().num_leaves();
-    }
-    std::int64_t operator()(const Corner3DState& s) {
-      return s.run.mesh().num_leaves();
-    }
-    std::int64_t operator()(const Mesh2DState& s) {
-      return s.mesh.num_leaves();
-    }
-    std::int64_t operator()(const Mesh3DState& s) {
-      return s.mesh.num_leaves();
-    }
-    std::int64_t operator()(const GraphState& s) {
-      return s.g.num_vertices();
-    }
-    std::int64_t operator()(const Fed2DState& s) { return s.shard.elements(); }
-    std::int64_t operator()(const Fed3DState& s) { return s.shard.elements(); }
-  };
-  return std::visit(V{}, body);
+  return std::visit(
+      [](const auto& s) -> std::int64_t {
+        if constexpr (std::is_same_v<std::decay_t<decltype(s)>, GraphState>)
+          return s.g.num_vertices();
+        else
+          return s.mesh().num_leaves();
+      },
+      body);
 }
 
-/// Level-0 elements never disappear (coarsening stops at the roots), so
-/// parts <= roots guarantees check_partition's "no empty subset" invariant
-/// for the whole session lifetime.
-template <typename Mesh>
-std::int64_t count_roots(const Mesh& mesh) {
-  std::int64_t roots = 0;
-  for (std::size_t e = 0; e < mesh.element_slots(); ++e)
-    roots += mesh.element(static_cast<mesh::ElemIdx>(e)).level == 0;
-  return roots;
+/// Call `f` with the std::type_identity of the workload a WorkloadKind
+/// names.
+template <typename F>
+decltype(auto) with_workload(WorkloadKind kind, F&& f) {
+  switch (kind) {
+    case WorkloadKind::kTransient2D:
+      return f(std::type_identity<pared::TransientRun>{});
+    case WorkloadKind::kTransient3D:
+      return f(std::type_identity<pared::TransientRun3D>{});
+    case WorkloadKind::kCorner2D:
+      return f(std::type_identity<pared::CornerSeries2D>{});
+    case WorkloadKind::kCorner3D:
+      break;
+  }
+  return f(std::type_identity<pared::CornerSeries3D>{});
+}
+
+/// Why `spec` may not build workload Run, judged from the spec alone: a
+/// TransientRun refines toward its depth cap *inside its constructor*,
+/// before any post-construction max_elements check can run. Bisection
+/// doubles the leaf count per level, so full refinement of every root is
+/// bounded by roots << max_level; Rivara conformity closure can overshoot
+/// the mark cap by about one level, hence the +1 slack. Keeping that
+/// supremum under max_elements bounds both the memory and the constructor
+/// CPU (each pre-adaptation round visits at most that many leaves). The
+/// codec's clamps (grid_n <= 128, max_level <= 16) keep the shift far from
+/// 64-bit overflow.
+template <typename Run>
+std::optional<std::string> growth_refusal(const WorkloadSpec& spec,
+                                          const Limits& limits) {
+  if constexpr (WorkloadState<Run>::kTransient) {
+    const std::int64_t n = spec.transient.grid_n;
+    const std::int64_t roots =
+        Run::Mesh::kDim == 2 ? 2 * n * n : 6 * n * n * n;
+    if ((roots << (spec.transient.max_level + 1)) > limits.max_elements)
+      return "fully refined mesh would exceed max_elements";
+  } else if constexpr (Run::Mesh::kDim == 3) {
+    if (spec.corner_grid_n > 24) return "grid_n <= 24";
+  }
+  return std::nullopt;
+}
+
+/// The workload `spec` describes.
+template <typename Run>
+Run make_run(const WorkloadSpec& spec) {
+  if constexpr (WorkloadState<Run>::kTransient)
+    return Run(spec.transient);
+  else
+    return Run(spec.corner_grid_n ? spec.corner_grid_n : Run::kDefaultGrid,
+               spec.corner);
 }
 
 /// Registry sessions defer the metrics tail of step(): the step reply
@@ -215,7 +244,21 @@ struct Registry::SessionState {
   std::vector<std::pair<std::uint16_t, Bytes>> oplog;
   bool checkpoint_ok = true;
 
-  explicit SessionState(Body&& b) : body(std::move(b)) {}
+  /// A new session from its create request. The create record keeps
+  /// `payload` with the engine byte at `engine_offset` canonicalized to the
+  /// resolved engine, so a checkpoint replays to the same backend on a
+  /// server with a different --default-engine.
+  SessionState(Body&& b, pared::Strategy s, engine::Kind eng,
+               std::int32_t p, std::uint16_t op, const Bytes& payload,
+               std::size_t engine_offset)
+      : strategy(s),
+        engine(eng),
+        parts(p),
+        body(std::move(b)),
+        create_op(op),
+        create_payload(payload) {
+    create_payload[engine_offset] = static_cast<std::uint8_t>(eng);
+  }
 };
 
 /// One shard: a mutex-guarded slice of the session map. The mutex guards
@@ -416,101 +459,38 @@ Reply Registry::op_create_workload(const Bytes& payload) {
   popt.alpha = spec->alpha;
   popt.beta = spec->beta;
   const engine::Kind eng = resolve_engine(spec->engine, limits_);
-  const auto session2d = [&] {
-    return deferred(pared::Session2D(spec->strategy, spec->parts,
-                                     spec->session_seed, popt, eng));
-  };
-  const auto session3d = [&] {
-    return deferred(pared::Session3D(spec->strategy, spec->parts,
-                                     spec->session_seed, popt, eng));
-  };
-
-  // A TransientRun refines toward its depth cap *inside its constructor*,
-  // before the post-construction max_elements check below can run, so the
-  // worst case must be bounded from the spec alone. Bisection doubles the
-  // leaf count per level, so full refinement of every root is bounded by
-  // roots << max_level; Rivara conformity closure can overshoot the mark
-  // cap by about one level, hence the +1 slack. Keeping that supremum
-  // under max_elements bounds both the memory and the constructor CPU
-  // (each pre-adaptation round visits at most that many leaves). The
-  // codec's clamps (grid_n <= 128, max_level <= 16) keep the shift far
-  // from 64-bit overflow.
-  const auto transient_fits = [&](std::int64_t roots) {
-    return (roots << (spec->transient.max_level + 1)) <= limits_.max_elements;
-  };
 
   std::optional<Body> body;
-  switch (spec->kind) {
-    case WorkloadKind::kTransient2D: {
-      const std::int64_t n = spec->transient.grid_n;
-      if (!transient_fits(2 * n * n))
-        return make_error(
-            Err::kLimitExceeded,
-            "transient2d: fully refined mesh would exceed max_elements");
-      body.emplace(Transient2DState{pared::TransientRun(spec->transient),
-                                    session2d()});
-      break;
-    }
-    case WorkloadKind::kTransient3D: {
-      const std::int64_t n = spec->transient.grid_n;
-      if (!transient_fits(6 * n * n * n))
-        return make_error(
-            Err::kLimitExceeded,
-            "transient3d: fully refined mesh would exceed max_elements");
-      body.emplace(Transient3DState{pared::TransientRun3D(spec->transient),
-                                    session3d()});
-      break;
-    }
-    case WorkloadKind::kCorner2D: {
-      const int grid = spec->corner_grid_n ? spec->corner_grid_n : 79;
-      body.emplace(
-          Corner2DState{pared::CornerSeries2D(grid, spec->corner),
-                        session2d()});
-      break;
-    }
-    case WorkloadKind::kCorner3D: {
-      const int grid = spec->corner_grid_n ? spec->corner_grid_n : 12;
-      if (grid > 24)
-        return make_error(Err::kLimitExceeded, "corner3d: grid_n <= 24");
-      body.emplace(
-          Corner3DState{pared::CornerSeries3D(grid, spec->corner),
-                        session3d()});
-      break;
-    }
-  }
+  std::int64_t elements = 0;
+  const std::optional<Reply> refused = with_workload(
+      spec->kind,
+      [&]<typename Run>(std::type_identity<Run>) -> std::optional<Reply> {
+        using State = WorkloadState<Run>;
+        if (const auto why = growth_refusal<Run>(*spec, limits_))
+          return make_error(Err::kLimitExceeded,
+                            std::string(State::kName) + ": " + *why);
+        State state{make_run<Run>(*spec),
+                    deferred(pared::Session<typename Run::Mesh>(
+                        spec->strategy, spec->parts, spec->session_seed,
+                        popt, eng))};
+        elements = state.mesh().num_leaves();
+        if (elements > limits_.max_elements)
+          return make_error(Err::kLimitExceeded,
+                            "workload mesh exceeds max_elements");
+        // Level-0 elements never disappear (coarsening stops at the
+        // roots), so parts <= roots guarantees check_partition's "no empty
+        // subset" invariant for the whole session lifetime.
+        if (spec->parts > state.mesh().num_initial_elements())
+          return make_error(Err::kBadPayload,
+                            "parts exceeds the workload's level-0 elements");
+        body.emplace(std::move(state));
+        return std::nullopt;
+      });
+  if (refused) return *refused;
 
-  const std::int64_t elements = body_elements(*body);
-  if (elements > limits_.max_elements)
-    return make_error(Err::kLimitExceeded,
-                      "workload mesh exceeds max_elements");
-  const std::int64_t roots = std::visit(
-      [](const auto& s) -> std::int64_t {
-        using T = std::decay_t<decltype(s)>;
-        if constexpr (std::is_same_v<T, GraphState> ||
-                      std::is_same_v<T, Mesh2DState> ||
-                      std::is_same_v<T, Mesh3DState>)
-          return 0;
-        else if constexpr (kIsFedState<T>)
-          return count_roots(s.shard.run().mesh());
-        else
-          return count_roots(s.run.mesh());
-      },
-      *body);
-  if (spec->parts > roots)
-    return make_error(Err::kBadPayload,
-                      "parts exceeds the workload's level-0 elements");
-
-  auto st = std::make_unique<SessionState>(std::move(*body));
-  st->strategy = spec->strategy;
-  st->engine = eng;
-  st->parts = spec->parts;
-  st->create_op = kOpCreateWorkload;
-  st->create_payload = payload;
-  // Canonicalize the stored engine byte so a checkpoint replays to the
-  // same backend on a server with a different --default-engine.
-  st->create_payload[kWorkloadSpecEngineOffset] =
-      static_cast<std::uint8_t>(eng);
-  const std::uint32_t id = register_session(std::move(st));
+  const std::uint32_t id = register_session(std::make_unique<SessionState>(
+      std::move(*body), spec->strategy, eng, spec->parts, kOpCreateWorkload,
+      payload, kWorkloadSpecEngineOffset));
 
   par::Writer w;
   w.put(id);
@@ -549,9 +529,7 @@ Reply Registry::op_create_mesh(const Bytes& payload) {
     if (head->parts > elements)
       return make_error(Err::kBadPayload, "parts exceeds element count");
     using Mesh = typename decltype(mesh)::value_type;
-    using State =
-        std::conditional_t<Mesh::kDim == 2, Mesh2DState, Mesh3DState>;
-    body.emplace(State{
+    body.emplace(MeshState<Mesh>{
         std::move(*mesh),
         deferred(pared::Session<Mesh>(head->strategy, head->parts,
                                       head->session_seed, popt, eng))});
@@ -562,14 +540,9 @@ Reply Registry::op_create_mesh(const Bytes& payload) {
                      : admit(build_mesh<mesh::TetMesh>(*flat, &why));
   if (refused) return *refused;
 
-  auto st = std::make_unique<SessionState>(std::move(*body));
-  st->strategy = head->strategy;
-  st->engine = eng;
-  st->parts = head->parts;
-  st->create_op = kOpCreateMesh;
-  st->create_payload = payload;
-  st->create_payload[kCreateHeadEngineOffset] = static_cast<std::uint8_t>(eng);
-  const std::uint32_t id = register_session(std::move(st));
+  const std::uint32_t id = register_session(std::make_unique<SessionState>(
+      std::move(*body), head->strategy, eng, head->parts, kOpCreateMesh,
+      payload, kCreateHeadEngineOffset));
 
   par::Writer w;
   w.put(id);
@@ -642,14 +615,9 @@ Reply Registry::op_create_graph(const Bytes& payload) {
   GraphState graph_state{std::move(*g), popt, std::move(partition),
                          std::move(rng), core::RepartitionStats{}, false,
                          eng, std::move(*coords), *cdim};
-  auto st = std::make_unique<SessionState>(Body(std::move(graph_state)));
-  st->strategy = head->strategy;
-  st->engine = eng;
-  st->parts = head->parts;
-  st->create_op = kOpCreateGraph;
-  st->create_payload = payload;
-  st->create_payload[kCreateHeadEngineOffset] = static_cast<std::uint8_t>(eng);
-  const std::uint32_t id = register_session(std::move(st));
+  const std::uint32_t id = register_session(std::make_unique<SessionState>(
+      Body(std::move(graph_state)), head->strategy, eng, head->parts,
+      kOpCreateGraph, payload, kCreateHeadEngineOffset));
 
   par::Writer w;
   w.put(id);
@@ -673,31 +641,23 @@ Reply Registry::op_advance(const Bytes& payload) {
   std::optional<Out> out;
   std::optional<Err> failed;
   std::string detail;
-  const auto run_transient = [&](auto& s) {
-    if (s.run.done()) {
-      failed = Err::kBadState;
-      detail = "workload already finished";
-      return;
-    }
-    const auto info = s.run.advance();
-    out = Out{info.bisections, info.merges, info.t};
-  };
-  const auto run_corner = [&](auto& s) {
-    const auto refined = s.run.advance();
-    out = Out{refined, 0, static_cast<double>(s.run.level())};
-  };
   std::visit(
       [&](auto& s) {
         using T = std::decay_t<decltype(s)>;
-        if constexpr (std::is_same_v<T, Transient2DState> ||
-                      std::is_same_v<T, Transient3DState>)
-          run_transient(s);
-        else if constexpr (std::is_same_v<T, Corner2DState> ||
-                           std::is_same_v<T, Corner3DState>)
-          run_corner(s);
-        else {
+        if constexpr (!kIsWorkloadState<T>) {
           failed = Err::kBadState;
           detail = "session has no server-side workload";
+        } else if constexpr (T::kTransient) {
+          if (s.run.done()) {
+            failed = Err::kBadState;
+            detail = "workload already finished";
+            return;
+          }
+          const auto info = s.run.advance();
+          out = Out{info.bisections, info.merges, info.t};
+        } else {
+          const auto refined = s.run.advance();
+          out = Out{refined, 0, static_cast<double>(s.run.level())};
         }
       },
       st->body);
@@ -735,11 +695,8 @@ Reply Registry::op_step(const Bytes& payload) {
   std::visit(
       [&](auto& s) {
         using T = std::decay_t<decltype(s)>;
-        if constexpr (std::is_same_v<T, Mesh2DState> ||
-                      std::is_same_v<T, Mesh3DState>)
-          report = s.session.step(s.mesh);
-        else if constexpr (!std::is_same_v<T, GraphState> && !kIsFedState<T>)
-          report = s.session.step(s.run.mutable_mesh());
+        if constexpr (kHasSession<T>)
+          report = s.session.step(s.mutable_mesh());
       },
       st->body);
   if (!report)
@@ -775,12 +732,11 @@ Reply Registry::op_adapt(const Bytes& payload) {
   std::visit(
       [&](auto& s) {
         using T = std::decay_t<decltype(s)>;
-        if constexpr (std::is_same_v<T, Mesh2DState> ||
-                      std::is_same_v<T, Mesh3DState>) {
+        if constexpr (kIsMeshState<T>) {
           // is_leaf() (used by refine/coarsen to filter marks) indexes the
           // element array unchecked, so range-check against current slots.
           const auto slots =
-              static_cast<mesh::ElemIdx>(s.mesh.element_slots());
+              static_cast<mesh::ElemIdx>(s.uploaded.element_slots());
           for (const mesh::ElemIdx m : *marks)
             if (m < 0 || m >= slots) {
               bad_marks = true;
@@ -791,8 +747,8 @@ Reply Registry::op_adapt(const Bytes& payload) {
           std::sort(marks->begin(), marks->end());
           marks->erase(std::unique(marks->begin(), marks->end()),
                        marks->end());
-          out = Out{*mode == 0 ? s.mesh.refine(*marks)
-                               : s.mesh.coarsen(*marks)};
+          out = Out{*mode == 0 ? s.uploaded.refine(*marks)
+                               : s.uploaded.coarsen(*marks)};
         }
       },
       st->body);
@@ -880,14 +836,9 @@ Reply Registry::op_get_metrics(const Bytes& payload) {
   std::visit(
       [&](auto& s) {
         using T = std::decay_t<decltype(s)>;
-        if constexpr (std::is_same_v<T, Mesh2DState> ||
-                      std::is_same_v<T, Mesh3DState>) {
-          if (s.session.metrics_current(s.mesh))
-            st->last_report = s.session.metrics(s.mesh);
-        } else if constexpr (!std::is_same_v<T, GraphState> &&
-                             !kIsFedState<T>) {
-          if (s.session.metrics_current(s.run.mesh()))
-            st->last_report = s.session.metrics(s.run.mesh());
+        if constexpr (kHasSession<T>) {
+          if (s.session.metrics_current(s.mesh()))
+            st->last_report = s.session.metrics(s.mesh());
         }
       },
       st->body);
@@ -928,15 +879,11 @@ Reply Registry::op_get_assignment(const Bytes& payload) {
         using T = std::decay_t<decltype(s)>;
         if constexpr (std::is_same_v<T, GraphState>)
           return s.partition.assign;
-        else if constexpr (std::is_same_v<T, Mesh2DState> ||
-                           std::is_same_v<T, Mesh3DState>)
-          return fed::leaf_tags(s.mesh);
-        else if constexpr (kIsFedState<T>)
-          // Leaf tags mirror the committed tree ownership, so this is the
-          // shard's adopted partition in dense leaf order.
-          return fed::leaf_tags(s.shard.run().mesh());
         else
-          return fed::leaf_tags(s.run.mesh());
+          // On a fed shard the leaf tags mirror the committed tree
+          // ownership, so this is the shard's adopted partition in dense
+          // leaf order.
+          return fed::leaf_tags(s.mesh());
       },
       st->body);
 
@@ -1071,62 +1018,39 @@ Reply Registry::op_fed_attach(const Bytes& payload) {
   if (num_sessions() >= limits_.max_sessions)
     return make_error(Err::kLimitExceeded, "session limit reached");
 
-  // Same pre-construction growth bound as op_create_workload: the run
-  // refines toward its depth cap inside its constructor, so the worst case
-  // must be bounded from the spec alone.
-  const auto transient_fits = [&](std::int64_t roots) {
-    return (roots << (att->spec.transient.max_level + 1)) <=
-           limits_.max_elements;
-  };
-  const std::int64_t n = att->spec.transient.grid_n;
-  const bool is3d = att->spec.kind == WorkloadKind::kTransient3D;
-  if (!transient_fits(is3d ? 6 * n * n * n : 2 * n * n))
-    return make_error(Err::kLimitExceeded,
-                      "fed attach: fully refined mesh would exceed "
-                      "max_elements");
-
   const engine::Kind eng = resolve_engine(att->spec.engine, limits_);
   std::optional<Body> body;
-  if (is3d)
-    body.emplace(Fed3DState{
-        fed::Shard3D(pared::TransientRun3D(att->spec.transient),
-                     att->rank, att->count)});
-  else
-    body.emplace(Fed2DState{
-        fed::Shard2D(pared::TransientRun(att->spec.transient),
-                     att->rank, att->count)});
-
-  const std::int64_t elements = body_elements(*body);
-  if (elements > limits_.max_elements)
-    return make_error(Err::kLimitExceeded,
-                      "workload mesh exceeds max_elements");
-  const std::int64_t roots = std::visit(
-      [](const auto& s) -> std::int64_t {
-        using T = std::decay_t<decltype(s)>;
-        if constexpr (kIsFedState<T>)
-          return count_roots(s.shard.run().mesh());
-        else
-          return 0;
-      },
-      *body);
-  if (att->count > roots)
-    return make_error(Err::kBadPayload,
-                      "shard count exceeds the workload's level-0 elements");
-
+  std::int64_t elements = 0;
   std::uint64_t mesh_fp = 0;
-  with_fed_shard(*body, [&](auto& shard) { mesh_fp = shard.mesh_fp(); });
+  // decode_fed_attach admits the transient kinds only.
+  const auto attach = [&]<typename Run>(std::type_identity<Run>)
+      -> std::optional<Reply> {
+    if (const auto refusal = growth_refusal<Run>(att->spec, limits_))
+      return make_error(Err::kLimitExceeded, "fed attach: " + *refusal);
+    FedState<Run> state{
+        fed::ShardT<Run>(make_run<Run>(att->spec), att->rank, att->count)};
+    elements = state.mesh().num_leaves();
+    if (elements > limits_.max_elements)
+      return make_error(Err::kLimitExceeded,
+                        "workload mesh exceeds max_elements");
+    if (att->count > state.mesh().num_initial_elements())
+      return make_error(Err::kBadPayload,
+                        "shard count exceeds the workload's level-0 elements");
+    mesh_fp = state.shard.mesh_fp();
+    body.emplace(std::move(state));
+    return std::nullopt;
+  };
+  const std::optional<Reply> refused =
+      att->spec.kind == WorkloadKind::kTransient3D
+          ? attach(std::type_identity<pared::TransientRun3D>{})
+          : attach(std::type_identity<pared::TransientRun>{});
+  if (refused) return *refused;
 
-  auto st = std::make_unique<SessionState>(std::move(*body));
-  st->strategy = att->spec.strategy;
-  st->engine = eng;
-  st->parts = att->spec.parts;
-  st->create_op = kOpFedAttach;
-  st->create_payload = payload;
-  // The spec leads the attach payload, so the canonical engine byte sits at
-  // the same offset as in a kOpCreateWorkload record.
-  st->create_payload[kWorkloadSpecEngineOffset] =
-      static_cast<std::uint8_t>(eng);
-  const std::uint32_t id = register_session(std::move(st));
+  // The spec leads the attach payload, so the engine byte sits at the same
+  // offset as in a kOpCreateWorkload record.
+  const std::uint32_t id = register_session(std::make_unique<SessionState>(
+      std::move(*body), att->spec.strategy, eng, att->spec.parts,
+      kOpFedAttach, payload, kWorkloadSpecEngineOffset));
 
   par::Writer w;
   w.put(id);

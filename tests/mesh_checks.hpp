@@ -4,7 +4,8 @@
 // test_tet_mesh.cpp on a TetMesh (TEST(Refine3D, ...), TEST(Coarsen3D,
 // ...)), so both dimensions of the adaptation code meet the same
 // assertions. adaptation_digest is the bisection-order pin of
-// TEST(MeshPin, ...).
+// TEST(MeshPin, ...); slot_digest also pins the workloads (WorkloadPin in
+// test_pared.cpp).
 
 #include <gtest/gtest.h>
 
@@ -76,16 +77,45 @@ double centroid_dist2(const Mesh& m, ElemIdx e,
   return d2;
 }
 
+/// Mix every element slot (alive, leaf, corners, parent, children,
+/// midpoint, root, level, tag) and vertex slot (alive, coordinate bits) of
+/// `m` into the running FNV-1a digest `h`.
+template <typename Mesh>
+std::uint64_t slot_digest(const Mesh& m, std::uint64_t h) {
+  const auto mix = [&h](auto v) { h = util::fnv1a_value(v, h); };
+  mix(static_cast<std::uint64_t>(m.element_slots()));
+  for (std::size_t e = 0; e < m.element_slots(); ++e) {
+    const auto& t = m.element(static_cast<ElemIdx>(e));
+    mix(t.alive);
+    mix(t.leaf);
+    for (const VertIdx v : t.v) mix(v);
+    mix(t.parent);
+    mix(t.child[0]);
+    mix(t.child[1]);
+    mix(t.mid);
+    mix(t.coarse);
+    mix(t.level);
+    mix(t.tag);
+  }
+  mix(static_cast<std::uint64_t>(m.vertex_slots()));
+  for (std::size_t v = 0; v < m.vertex_slots(); ++v) {
+    const bool alive = m.vertex_alive(static_cast<VertIdx>(v));
+    mix(alive);
+    if (!alive) continue;
+    for (const double x : coords(m.vertex(static_cast<VertIdx>(v))))
+      mix(std::bit_cast<std::uint64_t>(x));
+  }
+  return h;
+}
+
 /// Run a fixed adaptation script and digest everything it leaves behind.
 /// Each round refines the leaves whose centroid lies within `radius` of a
 /// point moving from `start` by `step`, tags every leaf by its centroid's
 /// sign pattern, then coarsens the leaves outside the ball. The FNV-1a
 /// digest covers each round's refine/coarsen counts, the drained
 /// DualWeightDelta, the sorted coarse-interface triples, the leaf count of
-/// every root, and every element slot (alive, leaf, corners, parent,
-/// children, midpoint, root, level, tag) and vertex slot (alive, coordinate
-/// bits). Any change in bisection order, slot recycling or tie-breaking
-/// changes the digest.
+/// every root, and slot_digest. Any change in bisection order, slot
+/// recycling or tie-breaking changes the digest.
 template <typename Mesh>
 std::uint64_t adaptation_digest(Mesh m, std::array<double, Mesh::kDim> at,
                                 const std::array<double, Mesh::kDim>& step,
@@ -132,28 +162,7 @@ std::uint64_t adaptation_digest(Mesh m, std::array<double, Mesh::kDim> at,
     for (ElemIdx c = 0; c < m.num_initial_elements(); ++c)
       mix(m.leaf_count(c));
 
-    mix(static_cast<std::uint64_t>(m.element_slots()));
-    for (std::size_t e = 0; e < m.element_slots(); ++e) {
-      const auto& t = m.element(static_cast<ElemIdx>(e));
-      mix(t.alive);
-      mix(t.leaf);
-      for (const VertIdx v : t.v) mix(v);
-      mix(t.parent);
-      mix(t.child[0]);
-      mix(t.child[1]);
-      mix(t.mid);
-      mix(t.coarse);
-      mix(t.level);
-      mix(t.tag);
-    }
-    mix(static_cast<std::uint64_t>(m.vertex_slots()));
-    for (std::size_t v = 0; v < m.vertex_slots(); ++v) {
-      const bool alive = m.vertex_alive(static_cast<VertIdx>(v));
-      mix(alive);
-      if (!alive) continue;
-      for (const double x : coords(m.vertex(static_cast<VertIdx>(v))))
-        mix(std::bit_cast<std::uint64_t>(x));
-    }
+    h = slot_digest(m, h);
 
     for (int d = 0; d < Mesh::kDim; ++d)
       at[static_cast<std::size_t>(d)] += step[static_cast<std::size_t>(d)];

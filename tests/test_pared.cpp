@@ -3,12 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "mesh/generate.hpp"
 #include "pared/driver.hpp"
 #include "pared/session.hpp"
 #include "pared/workloads.hpp"
+#include "mesh_checks.hpp"
 
 namespace pnr::pared {
 namespace {
@@ -241,6 +243,67 @@ TEST(Session, TagsCarryAssignmentAcrossAdaptation) {
     EXPECT_GE(run.mesh().tag(e), 0);
     EXPECT_LT(run.mesh().tag(e), 4);
   }
+}
+
+// ---- workload pins ----------------------------------------------------------
+
+// Digest a transient run: its pre-adapted mesh, then each advance()'s
+// StepInfo and the mesh it leaves behind. A new digest means the workload's
+// marking, refine/coarsen order or time stepping changed.
+template <typename Run>
+std::uint64_t transient_digest(const TransientOptions& options) {
+  Run run(options);
+  std::uint64_t h = mesh::slot_digest(run.mesh(), util::kFnvSeed);
+  const auto mix = [&h](auto v) { h = util::fnv1a_value(v, h); };
+  while (!run.done()) {
+    const auto info = run.advance();
+    mix(info.step);
+    mix(std::bit_cast<std::uint64_t>(info.t));
+    mix(info.bisections);
+    mix(info.merges);
+    h = mesh::slot_digest(run.mesh(), h);
+  }
+  EXPECT_TRUE(run.mesh().check_invariants().empty());
+  return h;
+}
+
+/// The corner-series counterpart: each level's bisection count and mesh.
+template <typename Series>
+std::uint64_t corner_digest(int grid_n, int levels) {
+  Series series(grid_n);
+  std::uint64_t h = mesh::slot_digest(series.mesh(), util::kFnvSeed);
+  const auto mix = [&h](auto v) { h = util::fnv1a_value(v, h); };
+  for (int level = 0; level < levels; ++level) {
+    mix(series.advance());
+    mix(series.level());
+    h = mesh::slot_digest(series.mesh(), h);
+  }
+  EXPECT_TRUE(series.mesh().check_invariants().empty());
+  return h;
+}
+
+TEST(WorkloadPin, Transient2D) {
+  TransientOptions opts;
+  opts.steps = 6;
+  opts.grid_n = 10;
+  opts.max_level = 4;
+  EXPECT_EQ(transient_digest<TransientRun>(opts), 11300990925978639471ull);
+}
+
+TEST(WorkloadPin, Transient3D) {
+  TransientOptions opts = TransientRun3D::default_options();
+  opts.steps = 4;
+  opts.grid_n = 4;
+  opts.max_level = 3;
+  EXPECT_EQ(transient_digest<TransientRun3D>(opts), 2750999718617649375ull);
+}
+
+TEST(WorkloadPin, Corner2D) {
+  EXPECT_EQ(corner_digest<CornerSeries2D>(12, 4), 3126741392808873491ull);
+}
+
+TEST(WorkloadPin, Corner3D) {
+  EXPECT_EQ(corner_digest<CornerSeries3D>(5, 3), 1185834951634776489ull);
 }
 
 }  // namespace

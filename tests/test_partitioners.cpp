@@ -153,8 +153,7 @@ TEST(Inertial, SplitsAlongLongAxis) {
       coords[static_cast<std::size_t>(j * 40 + i) * 2] = i;
       coords[static_cast<std::size_t>(j * 40 + i) * 2 + 1] = j;
     }
-  util::Rng rng(13);
-  const Partition pi = inertial_partition(g, coords, 2, 2, rng);
+  const Partition pi = inertial_partition(g, coords, 2, 2);
   EXPECT_TRUE(pi.valid_for(g));
   EXPECT_LE(cut_size(g, pi), 8);
   EXPECT_LE(imbalance(g, pi), 0.05);

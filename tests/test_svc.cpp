@@ -15,6 +15,7 @@
 #include "svc/registry.hpp"
 #include "svc/server.hpp"
 #include "svc/wire.hpp"
+#include "util/fnv.hpp"
 
 namespace pnr::svc {
 namespace {
@@ -1349,6 +1350,255 @@ TEST(SvcSharded, ShutdownDrainsInFlightRepliesBeforeTheAck) {
     server.poll_once(0);
   EXPECT_TRUE(server.done());
   raw_close(fd);
+}
+
+// ---- reply transcript pin ---------------------------------------------------
+
+/// One Registry driven by a fixed script; every reply's frame type and
+/// bytes fold into an FNV-1a digest.
+class Transcript {
+ public:
+  Reply call(std::uint16_t op, const Bytes& payload) {
+    Reply reply = registry_.handle(op, payload);
+    h_ = util::fnv1a_value(reply.type, h_);
+    h_ = util::fnv1a_value(static_cast<std::uint64_t>(reply.payload.size()),
+                           h_);
+    h_ = util::fnv1a(reply.payload.data(), reply.payload.size(), h_);
+    errors_ += reply.type == kTypeError;
+    return reply;
+  }
+  Reply call_id(std::uint16_t op, std::uint32_t id) {
+    return call(op, id_payload(id));
+  }
+  /// A create-like call that must succeed; returns the new session id.
+  std::uint32_t create(std::uint16_t op, const Bytes& payload) {
+    const Reply reply = call(op, payload);
+    EXPECT_EQ(reply.type, op | kReplyBit) << op;
+    par::TryReader r(reply.payload);
+    const auto id = r.get<std::uint32_t>();
+    EXPECT_TRUE(id);
+    return id ? *id : 0;
+  }
+  std::uint64_t digest() const { return h_; }
+  int errors() const { return errors_; }
+
+ private:
+  Registry registry_;
+  std::uint64_t h_ = util::kFnvSeed;
+  int errors_ = 0;
+};
+
+Bytes workload_payload(const WorkloadSpec& spec) {
+  par::Writer w;
+  encode_workload_spec(w, spec);
+  return w.take();
+}
+
+Bytes attach_payload(const WorkloadSpec& spec, std::uint16_t rank) {
+  par::Writer w;
+  encode_fed_attach(w, FedAttach{spec, rank, 2});
+  return w.take();
+}
+
+Bytes adapt_payload(std::uint32_t id, std::uint8_t mode,
+                    const std::vector<mesh::ElemIdx>& marks) {
+  par::Writer w;
+  w.put(id);
+  w.put(mode);
+  w.put_vector(marks);
+  return w.take();
+}
+
+/// One federated round over two shard sessions: advance, interface, a plan
+/// that moves tree 0 to shard 1, both exchanges, commit.
+void fed_round(Transcript& t, const std::uint32_t (&shard)[2],
+               std::size_t roots) {
+  for (const std::uint32_t id : shard) t.call_id(kOpFedAdvance, id);
+  for (const std::uint32_t id : shard) t.call_id(kOpFedInterface, id);
+  std::vector<part::PartId> next(roots);
+  for (std::size_t c = 0; c < roots; ++c)
+    next[c] = static_cast<part::PartId>(c % 2);
+  next[0] = 1;
+  FedPlanReply plans[2];
+  for (int s = 0; s < 2; ++s) {
+    par::Writer w;
+    w.put(shard[s]);
+    w.put_vector(next);
+    const Reply reply = t.call(kOpFedPlan, w.take());
+    ASSERT_EQ(reply.type, kOpFedPlan | kReplyBit);
+    par::TryReader r(reply.payload);
+    const auto plan = decode_fed_plan_reply(r, Limits{});
+    ASSERT_TRUE(plan);
+    plans[s] = *plan;
+  }
+  for (int s = 0; s < 2; ++s) {
+    par::Writer w;
+    w.put(shard[1 - s]);
+    encode_fed_exchange(w, FedExchange{s, plans[s].outgoing});
+    t.call(kOpFedExchange, w.take());
+  }
+  for (const std::uint32_t id : shard) t.call_id(kOpFedCommit, id);
+}
+
+// Pins the reply bytes of every op on every session kind, error replies
+// included, and the restore of each kind's checkpoint: the registry's wire
+// behaviour, which a refactor of its session states must leave unchanged.
+TEST(RegistryPin, ReplyTranscript) {
+  Transcript t;
+  t.call(kOpPing, Bytes{1, 2, 3});
+
+  // The four server-side workloads, over several strategies and engines.
+  WorkloadSpec tr2 = small_transient2d();
+  WorkloadSpec tr3;
+  tr3.kind = WorkloadKind::kTransient3D;
+  tr3.parts = 3;
+  tr3.session_seed = 5;
+  tr3.transient = pared::TransientRun3D::default_options();
+  tr3.transient.steps = 4;
+  tr3.transient.grid_n = 3;
+  tr3.transient.max_level = 3;
+  tr3.engine = wire_engine(engine::Kind::kSfcHilbert);
+  WorkloadSpec c2;
+  c2.kind = WorkloadKind::kCorner2D;
+  c2.parts = 4;
+  c2.corner_grid_n = 10;
+  c2.engine = wire_engine(engine::Kind::kRib);
+  WorkloadSpec c3;
+  c3.kind = WorkloadKind::kCorner3D;
+  c3.strategy = pared::Strategy::kMlkl;
+  c3.parts = 2;
+  c3.corner_grid_n = 4;
+  std::vector<std::uint32_t> workloads;
+  for (const WorkloadSpec& spec : {tr2, tr3, c2, c3})
+    workloads.push_back(t.create(kOpCreateWorkload, workload_payload(spec)));
+
+  // Uploaded meshes, 2D and 3D.
+  std::vector<std::uint32_t> meshes;
+  {
+    CreateHead head;
+    head.parts = 4;
+    par::Writer w;
+    encode_create_head(w, head);
+    encode_mesh(w, flatten_mesh(mesh::structured_tri_mesh(6, 6, 0.25, 2)));
+    meshes.push_back(t.create(kOpCreateMesh, w.take()));
+  }
+  {
+    CreateHead head;
+    head.strategy = pared::Strategy::kMlkl;
+    head.parts = 2;
+    head.session_seed = 3;
+    par::Writer w;
+    encode_create_head(w, head);
+    encode_mesh(w, flatten_mesh(mesh::structured_tet_mesh(3, 3, 3, 0.2, 5)));
+    meshes.push_back(t.create(kOpCreateMesh, w.take()));
+  }
+
+  // An uploaded graph with coordinates, defaulting to RIB.
+  std::uint32_t graph_id = 0;
+  {
+    const auto m = mesh::structured_tri_mesh(8, 8, 0.25, 4);
+    const auto dual = mesh::fine_dual_graph(m);
+    CreateHead head;
+    head.parts = 4;
+    head.engine = wire_engine(engine::Kind::kRib);
+    par::Writer w;
+    encode_create_head(w, head);
+    encode_graph(w, dual.graph);
+    w.put(std::uint8_t{2});
+    w.put_vector(mesh::leaf_centroids(m, dual.elems));
+    graph_id = t.create(kOpCreateGraph, w.take());
+  }
+
+  // Two 2-shard federations, 2D and 3D.
+  WorkloadSpec fed2 = small_transient2d();
+  fed2.parts = 2;
+  WorkloadSpec fed3 = tr3;
+  fed3.parts = 2;
+  const std::uint32_t fed2d[2] = {
+      t.create(kOpFedAttach, attach_payload(fed2, 0)),
+      t.create(kOpFedAttach, attach_payload(fed2, 1))};
+  const std::uint32_t fed3d[2] = {
+      t.create(kOpFedAttach, attach_payload(fed3, 0)),
+      t.create(kOpFedAttach, attach_payload(fed3, 1))};
+
+  for (int round = 0; round < 2; ++round) {
+    for (const std::uint32_t id : workloads) {
+      t.call_id(kOpAdvance, id);
+      t.call_id(kOpStep, id);
+      t.call_id(kOpGetMetrics, id);
+      t.call_id(kOpGetAssignment, id);
+    }
+    for (const std::uint32_t id : meshes) {
+      t.call_id(kOpStep, id);
+      t.call(kOpAdapt, adapt_payload(id, 0, {2, 0, 1, 1}));
+      t.call_id(kOpStep, id);
+      t.call_id(kOpGetMetrics, id);
+      std::vector<mesh::ElemIdx> all(24);
+      for (std::size_t e = 0; e < all.size(); ++e)
+        all[e] = static_cast<mesh::ElemIdx>(e);
+      t.call(kOpAdapt, adapt_payload(id, 1, all));
+      t.call_id(kOpGetAssignment, id);
+    }
+    for (const std::uint8_t eng :
+         {kEngineDefault, wire_engine(engine::Kind::kSfcMorton),
+          wire_engine(engine::Kind::kMlkl)}) {
+      par::Writer w;
+      w.put(graph_id);
+      w.put(eng);
+      t.call(kOpRepartition, w.take());
+    }
+    t.call_id(kOpGetMetrics, graph_id);
+    t.call_id(kOpGetAssignment, graph_id);
+    fed_round(t, fed2d, 2 * 10 * 10);
+    fed_round(t, fed3d, 6 * 3 * 3 * 3);
+    for (const std::uint32_t id : {fed2d[0], fed2d[1], fed3d[0], fed3d[1]}) {
+      t.call_id(kOpGetMetrics, id);
+      t.call_id(kOpGetAssignment, id);
+    }
+  }
+
+  // Ops aimed at the wrong kind of session are typed errors.
+  t.call_id(kOpAdvance, meshes[0]);
+  t.call_id(kOpAdvance, graph_id);
+  t.call_id(kOpAdvance, fed3d[0]);
+  t.call_id(kOpStep, graph_id);
+  t.call_id(kOpStep, fed2d[0]);
+  t.call(kOpAdapt, adapt_payload(workloads[0], 0, {0}));
+  t.call(kOpAdapt, adapt_payload(fed2d[1], 0, {0}));
+  t.call(kOpAdapt, adapt_payload(meshes[1], 0, {1 << 20}));
+  {
+    par::Writer w;
+    w.put(meshes[1]);
+    w.put(kEngineDefault);
+    t.call(kOpRepartition, w.take());
+  }
+  t.call_id(kOpFedAdvance, workloads[1]);
+  t.call_id(kOpFedInterface, meshes[0]);
+  t.call_id(kOpFedCommit, graph_id);
+  t.call_id(kOpFedCommit, fed2d[0]);  // no plan staged
+  t.call_id(kOpGetMetrics, 999);
+  t.call(kOpListSessions, Bytes{});
+
+  // Checkpoint every session, restore each checkpoint, and read back the
+  // restored session.
+  std::vector<std::uint32_t> all = workloads;
+  all.insert(all.end(), meshes.begin(), meshes.end());
+  all.push_back(graph_id);
+  all.insert(all.end(), {fed2d[0], fed2d[1], fed3d[0], fed3d[1]});
+  for (const std::uint32_t id : all) {
+    const Reply ckpt = t.call_id(kOpCheckpoint, id);
+    ASSERT_EQ(ckpt.type, kOpCheckpoint | kReplyBit);
+    const std::uint32_t restored = t.create(kOpRestore, ckpt.payload);
+    t.call_id(kOpGetMetrics, restored);
+    t.call_id(kOpGetAssignment, restored);
+  }
+  t.call(kOpListSessions, Bytes{});
+  t.call_id(kOpCloseSession, workloads[0]);
+  t.call(kOpShutdown, Bytes{});
+  t.call_id(kOpStep, workloads[1]);
+
+  EXPECT_EQ(t.errors(), 15);  // exactly the deliberate ones above
+  EXPECT_EQ(t.digest(), 13871576465141288155ull);
 }
 
 }  // namespace
